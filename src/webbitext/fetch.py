@@ -56,6 +56,7 @@ class FetchResult:
     status: str
     final_url: str = ""
     content_type: str = ""
+    charset: str = ""  # from the Content-Type header; "" when none was sent
     digest: str | None = None
     cache_path: str | None = None
     fetched_at: float = 0.0
@@ -84,6 +85,15 @@ def sniff_content_type(body):
     if body.startswith(b"%PDF"):
         return "application/pdf"
     return "application/octet-stream"
+
+
+def _charset_param(params):
+    """The ``charset`` value among Content-Type parameters, or ""."""
+    for param in params.split(";"):
+        name, _, value = param.partition("=")
+        if name.strip().lower() == "charset":
+            return value.strip().strip("\"'")
+    return ""
 
 
 class PageCache:
@@ -128,6 +138,7 @@ class PageCache:
             "status": result.status,
             "final_url": result.final_url,
             "content_type": result.content_type,
+            "charset": result.charset,
             "digest": result.digest,
             "fetched_at": result.fetched_at,
             "detail": result.detail,
@@ -149,7 +160,9 @@ class PageCache:
         digest = entry["digest"]
         return FetchResult(
             url=url, status=entry["status"], final_url=entry["final_url"],
-            content_type=entry["content_type"], digest=digest,
+            content_type=entry["content_type"],
+            charset=entry.get("charset", ""),  # absent in older indexes
+            digest=digest,
             cache_path=self.body_path(digest) if digest else None,
             fetched_at=entry["fetched_at"], detail=entry["detail"])
 
@@ -298,20 +311,23 @@ class Fetcher:
             if not body:
                 return FetchResult(url, STATUS_EMPTY, final_url=current, fetched_at=now)
             raw_ctype = headers.get("Content-Type") or headers.get("content-type")
-            ctype = raw_ctype.split(";")[0].strip().lower() if raw_ctype \
+            media_type, _, params = (raw_ctype or "").partition(";")
+            ctype = media_type.strip().lower() if raw_ctype \
                 else sniff_content_type(body)
-            return self._finish(url, current, ctype, body, now)
+            return self._finish(url, current, ctype, body, now,
+                                _charset_param(params))
         return FetchResult(url, STATUS_UNREACHABLE, final_url=current,
                            fetched_at=now, detail="too many redirects")
 
-    def _finish(self, url, final_url, ctype, body, now):
+    def _finish(self, url, final_url, ctype, body, now, charset=""):
         if "html" not in ctype:
             return FetchResult(url, STATUS_NON_HTML, final_url=final_url,
                                content_type=ctype, fetched_at=now, detail=ctype)
         digest, path = self.cache.store_body(body)
         status = STATUS_OK if final_url == url else STATUS_MOVED
         return FetchResult(url, status, final_url=final_url, content_type=ctype,
-                           digest=digest, cache_path=path, fetched_at=now)
+                           charset=charset, digest=digest, cache_path=path,
+                           fetched_at=now)
 
     def body(self, result):
         if not result.retrieved:

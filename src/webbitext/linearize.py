@@ -100,10 +100,9 @@ def decode_html(data, encoding=None):
         if not enc:
             continue
         try:
-            codecs.lookup(enc)
-        except LookupError:
+            return data.decode(enc, errors="replace")
+        except LookupError:  # unknown name, or a bytes codec such as "hex"
             continue
-        return data.decode(enc, errors="replace")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError:

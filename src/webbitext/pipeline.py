@@ -19,10 +19,10 @@ the two locators joined by a single space.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .candidates import GeneratorConfig, extract_candidates
@@ -189,14 +189,82 @@ def _write_atomic(path, text):
     os.replace(tmp, path)
 
 
+def _read_body(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _read_hub(fetcher, locator):
     if is_local(locator):
-        with open(local_path(locator), "rb") as fh:
-            return fh.read()
+        return _read_body(local_path(locator))
     result = fetcher.fetch(locator)
     if not result.retrieved:
         raise IOError("hub %s: %s" % (locator, result.status))
     return fetcher.body(result)
+
+
+def _evaluate_job(left, right, evaluator):
+    """Linearize and evaluate one pair from its cached bodies.
+
+    ``left`` and ``right`` are (locator, cache path, header charset), so a
+    job sent to a worker process carries paths, never page bodies.
+    Returns (EvaluationReport, None), or (None, error message) when
+    reading, linearizing or evaluating raised.
+    """
+    try:
+        docs = [linearize(_read_body(path), source_id=url, encoding=charset)
+                for url, path, charset in (left, right)]
+        return evaluate_pair(docs[0], docs[1], evaluator), None
+    except Exception as err:
+        return None, str(err)
+
+
+def _evaluate_all(lefts, rights, evaluator, jobs):
+    """(report, error) per pair, in input order.
+
+    Linearize, align and the statistics are CPU-bound Python, so more than
+    one pair is spread over ``jobs`` worker processes.  A worker that dies
+    (killed for memory, say) breaks the pool: the outcomes collected so
+    far, in order, stand, and every later pair gets an error naming that.
+    """
+    evaluators = itertools.repeat(evaluator)
+    workers = min(jobs, len(lefts))
+    if workers <= 1:
+        return list(map(_evaluate_job, lefts, rights, evaluators))
+    # Imported here: only a run that starts a pool needs multiprocessing.
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    outcomes = []
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes.extend(pool.map(_evaluate_job, lefts, rights, evaluators))
+    except BrokenProcessPool as err:
+        error = "evaluation worker died: %s" % err
+        outcomes.extend((None, error) for _ in range(len(lefts) - len(outcomes)))
+    return outcomes
+
+
+class ConservationError(RuntimeError):
+    """Disposition counts that do not add up: a bug in the accounting."""
+
+
+def check_conservation(counts):
+    """Raise ConservationError unless the disposition counts conserve.
+
+    generated = identical + unretrievable + non_html + evaluated + errors,
+    and evaluated = accepted + rejected + language_filtered.
+    """
+    parts = (counts["identical"] + counts["unretrievable"] + counts["non_html"]
+             + counts["evaluated"] + counts["errors"])
+    if counts["generated"] != parts:
+        raise ConservationError("generated %d != %d identical + unretrievable "
+                                "+ non_html + evaluated + errors"
+                                % (counts["generated"], parts))
+    verdicts = counts["accepted"] + counts["rejected"] + counts["language_filtered"]
+    if counts["evaluated"] != verdicts:
+        raise ConservationError("evaluated %d != %d accepted + rejected "
+                                "+ language_filtered"
+                                % (counts["evaluated"], verdicts))
 
 
 def run_pipeline(cfg, hubs):
@@ -237,7 +305,9 @@ def run_pipeline(cfg, hubs):
 
     # Stage 3: dedup identical pages, sort out failures, evaluate the rest.
     records = []
-    to_evaluate = []
+    to_evaluate = []  # record index per pair sent to evaluation
+    lefts = []
+    rights = []
     for idx, pair in enumerate(generated):
         r1 = results[pair.url1]
         r2 = results[pair.url2]
@@ -265,30 +335,10 @@ def run_pipeline(cfg, hubs):
         elif r1.digest == r2.digest:
             record["disposition"] = DISP_IDENTICAL
         else:
-            to_evaluate.append((idx, pair, r1, r2))
-
-    def _evaluate(item):
-        idx, pair, r1, r2 = item
-        left = linearize(fetcher.body(r1), source_id=pair.url1)
-        right = linearize(fetcher.body(r2), source_id=pair.url2)
-        report = evaluate_pair(left, right, cfg.evaluator)
-        return idx, report
-
-    evaluated = []
-    pair_errors = []
-    if to_evaluate:
-        workers = max(1, min(cfg.jobs, len(to_evaluate)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(item[0], pool.submit(_evaluate, item)) for item in to_evaluate]
-        for idx, future in futures:
-            try:
-                evaluated.append(future.result()[1])
-            except Exception as err:
-                records[idx]["disposition"] = DISP_ERROR
-                records[idx]["reject_reason"] = str(err)
-                pair_errors.append({"pair_id": records[idx]["pair_id"],
-                                    "error": str(err)})
-                evaluated.append(None)
+            to_evaluate.append(idx)
+            lefts.append((pair.url1, r1.cache_path, r1.charset))
+            rights.append((pair.url2, r2.cache_path, r2.charset))
+    outcomes = _evaluate_all(lefts, rights, cfg.evaluator, cfg.jobs)
 
     # Stage 4: optional language-dependent filtering.
     models = None
@@ -296,13 +346,15 @@ def run_pipeline(cfg, hubs):
         models = [NgramModel.load(p) for p in cfg.langid_model_paths]
 
     segments_dir = os.path.join(out_dir, "segments")
-    eval_iter = iter(evaluated)
+    pair_errors = []
     seg_counter = 0
-    for idx, pair, r1, r2 in to_evaluate:
-        report = next(eval_iter)
-        if report is None:
-            continue
+    for idx, (report, error) in zip(to_evaluate, outcomes):
         record = records[idx]
+        if error is not None:
+            record["disposition"] = DISP_ERROR
+            record["reject_reason"] = error
+            pair_errors.append({"pair_id": record["pair_id"], "error": error})
+            continue
         record["mismatch_ratio"] = report.mismatch_ratio
         record["reject_reason"] = report.reject_reason
         if report.correlation is not None:
@@ -358,12 +410,7 @@ def run_pipeline(cfg, hubs):
             counts["evaluated"] += 1
             counts["language_filtered"] += 1
 
-    # disposition conservation, checked on every run
-    assert counts["generated"] == (counts["identical"] + counts["unretrievable"]
-                                   + counts["non_html"] + counts["evaluated"]
-                                   + counts["errors"])
-    assert counts["evaluated"] == (counts["accepted"] + counts["rejected"]
-                                   + counts["language_filtered"])
+    check_conservation(counts)
 
     manifest = {
         "config": _config_echo(cfg),

@@ -1,9 +1,10 @@
 """Fetcher behavior against a local stub HTTP server and local files."""
 
+import json
 import socket
 
 from webbitext import (CandidatePair, FetchPolicy, Fetcher, PageCache,
-                       dedup_identical)
+                       dedup_identical, linearize)
 from webbitext.fetch import (STATUS_EMPTY, STATUS_MOVED, STATUS_NON_HTML,
                              STATUS_NOT_FOUND, STATUS_OK,
                              STATUS_ROBOTS_DENIED, STATUS_UNREACHABLE,
@@ -200,3 +201,33 @@ def test_cache_survives_restart(tmp_path):
     assert hit.digest == digest
     assert reloaded.body(digest) == b"<html>x</html>"
     assert reloaded.lookup("u1", max_age=1e-9) is None  # expired
+
+
+def test_header_charset_is_kept_through_the_cache(stub_server, tmp_path):
+    phrase = "日本語のテキストです"
+    stub_server.add_page("/ja.html",
+                         ("<HTML><BODY><P>%s</P></BODY></HTML>" % phrase)
+                         .encode("shift_jis"),
+                         "text/html; charset=Shift_JIS")
+    url = stub_server.base_url + "/ja.html"
+    fetched = make_fetcher(tmp_path).fetch(url)
+    assert (fetched.content_type, fetched.charset) == ("text/html", "Shift_JIS")
+    fetcher = make_fetcher(tmp_path)  # a new cache object: answers from index.json
+    cached = fetcher.fetch(url)
+    assert cached.charset == "Shift_JIS"
+    body = fetcher.body(cached)
+    chunk = [t for t in linearize(body, encoding=cached.charset).tokens
+             if t.is_chunk()][0]
+    assert (chunk.text, chunk.length) == (phrase, 10)
+    mojibake = [t for t in linearize(body).tokens if t.is_chunk()][0]
+    assert mojibake.length == 20
+
+
+def test_index_entries_without_charset_still_load(tmp_path):
+    root = tmp_path / "cache"
+    root.mkdir()
+    (root / "index.json").write_text(json.dumps({"u1": {
+        "status": STATUS_OK, "final_url": "u1", "content_type": "text/html",
+        "digest": "ab" * 32, "fetched_at": 1.0, "detail": ""}}))
+    hit = PageCache(str(root)).lookup("u1")
+    assert (hit.status, hit.charset) == (STATUS_OK, "")

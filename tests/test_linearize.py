@@ -168,6 +168,13 @@ def test_encoding_hint_wins():
     assert decode_html(b"caf\xe9", "latin-1") == "café"
 
 
+def test_charsets_that_cannot_decode_text_are_skipped():
+    assert decode_html(b"caf\xc3\xa9", "hex") == "café"
+    assert decode_html(b"caf\xc3\xa9", "no-such-charset") == "café"
+    doc = linearize(b'<META CHARSET="base64"><P>abc</P>')
+    assert [t.length for t in doc.tokens if t.is_chunk()] == [3]
+
+
 def test_render_token_forms():
     doc = linearize('<A HREF="x">abc</A>')
     assert [render_token(t) for t in doc.tokens] == \

@@ -1,14 +1,18 @@
 """Pipeline orchestration: formats, scoring, accounting, determinism."""
 
+import hashlib
 import json
 import os
+from dataclasses import dataclass, field
 
 import pytest
 
-from webbitext import (CandidatePair, GeneratorConfig,
-                       PipelineConfig, evaluate_pair, linearize, load_gold,
-                       run_pipeline, score, write_segments)
-from webbitext.pipeline import (read_candidates_tsv, score_report_files,
+from webbitext import (CandidatePair, EvaluatorConfig, FetchPolicy,
+                       GeneratorConfig, PipelineConfig, evaluate_pair,
+                       linearize, load_gold, run_pipeline, score,
+                       write_segments)
+from webbitext.pipeline import (ConservationError, check_conservation,
+                                read_candidates_tsv, score_report_files,
                                 write_candidates_tsv)
 
 from conftest import text_with_length
@@ -264,3 +268,133 @@ def test_pipeline_config_validation(tmp_path):
             out_dir=str(tmp_path), langid_filter=True,
             langid_model_paths=(str(tmp_path / "missing.model"),),
             expected_langs=("en", "es"))
+
+
+def _tree_bytes(root):
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+def test_worker_processes_write_the_same_outputs_as_one_process(
+        demo_corpus, tmp_path):
+    hubs = read_hubs(demo_corpus)
+    manifests = {}
+    for jobs in (1, 2):
+        out = tmp_path / ("jobs%d" % jobs)
+        manifests[jobs] = run_pipeline(
+            corpus_config(demo_corpus, out, jobs=jobs), hubs)
+    one, two = tmp_path / "jobs1", tmp_path / "jobs2"
+    assert (one / "reports.jsonl").read_bytes() == \
+        (two / "reports.jsonl").read_bytes()
+    segments = _tree_bytes(one / "segments")
+    assert len(segments) == 13
+    assert segments == _tree_bytes(two / "segments")
+    assert manifests[1]["config"].pop("jobs") == 1
+    assert manifests[2]["config"].pop("jobs") == 2
+    assert manifests[1] == manifests[2]
+
+
+def test_exception_in_a_worker_fails_only_that_pair(default_run, demo_corpus,
+                                                    tmp_path):
+    baseline, _ = default_run
+    url1 = demo_corpus["expected_accept_default"][0].split(" ")[0]
+    with open(url1, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    # A directory where the page's cached body belongs: the fetch stores
+    # nothing over it, and the worker that opens it raises.
+    os.makedirs(tmp_path / "cache" / "objects" / digest[:2] / digest)
+    cfg = corpus_config(demo_corpus, tmp_path / "out", jobs=2,
+                        cache_dir=str(tmp_path / "cache"))
+    manifest = run_pipeline(cfg, read_hubs(demo_corpus))
+    broken = [r for r in manifest["pairs"] if url1 in (r["url1"], r["url2"])]
+    assert broken and all(r["disposition"] == "error" for r in broken)
+    assert [e["pair_id"] for e in manifest["pair_errors"]] == \
+        [r["pair_id"] for r in broken]
+    assert "Is a directory" in manifest["pair_errors"][0]["error"]
+    assert manifest["counts"]["errors"] == len(broken)
+    unaffected = [r for r in baseline["pairs"]
+                  if url1 not in (r["url1"], r["url2"])]
+    assert [r for r in manifest["pairs"] if r not in broken] == unaffected
+
+
+@dataclass
+class _ExitInWorker(EvaluatorConfig):
+    """Thresholds whose first read in any other process ends that process.
+
+    The pool pickles the config into every job, so this reaches the
+    workers whatever start method the pool uses.
+    """
+
+    owner_pid: int = field(default_factory=os.getpid)
+
+    def __getattribute__(self, name):
+        if name == "k" and os.getpid() != object.__getattribute__(self, "owner_pid"):
+            os._exit(3)
+        return object.__getattribute__(self, name)
+
+
+def test_worker_that_dies_leaves_error_dispositions(default_run, demo_corpus,
+                                                    tmp_path, capfd):
+    baseline, _ = default_run
+    cfg = corpus_config(demo_corpus, tmp_path / "out", jobs=2,
+                        evaluator=_ExitInWorker())
+    manifest = run_pipeline(cfg, read_hubs(demo_corpus))
+    assert "Traceback" not in capfd.readouterr().err
+    counts = manifest["counts"]
+    assert counts["errors"] == baseline["counts"]["evaluated"] == 24
+    assert counts["evaluated"] == 0
+    for before, after in zip(baseline["pairs"], manifest["pairs"]):
+        if before["disposition"] in ("accepted", "rejected"):
+            assert after["disposition"] == "error"
+            assert after["reject_reason"].startswith("evaluation worker died")
+        else:
+            assert after == before
+    assert len(manifest["pair_errors"]) == counts["errors"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_header_charset_reaches_the_decoder(stub_server, tmp_path, jobs):
+    phrase = "日本語のテキストです"
+    hubs = []
+    for i in (1, 2):
+        en = "<HTML><TITLE>Page %d</TITLE><BODY>" % i
+        ja = "<HTML><TITLE>ページ %d</TITLE><BODY>" % i
+        for k in range(1, 7):
+            en += "<P>%s</P>" % text_with_length("", 11 * k + i)
+            ja += "<P>%s</P>" % (phrase * k)
+        stub_server.add_page("/en%d.html" % i, en)
+        # The charset is in the header only; the page declares none.
+        stub_server.add_page("/ja%d.html" % i, ja.encode("shift_jis"),
+                             "text/html; charset=Shift_JIS")
+        stub_server.add_page("/hub%d.html" % i,
+                             '<A HREF="/en%d.html">English</A> '
+                             '<A HREF="/ja%d.html">Japanese</A>' % (i, i))
+        hubs.append(stub_server.base_url + "/hub%d.html" % i)
+    cfg = PipelineConfig(
+        generator=GeneratorConfig(frozenset({"english"}),
+                                  frozenset({"japanese"})),
+        fetch=FetchPolicy(min_interval=0.0, timeout=5.0),
+        out_dir=str(tmp_path / "out"), jobs=jobs)
+    manifest = run_pipeline(cfg, hubs)
+    assert manifest["counts"]["accepted"] == 2
+    for record in manifest["pairs"]:
+        with open(tmp_path / "out" / record["segments_file"],
+                  encoding="utf-8") as fh:
+            first_paragraph = fh.read().splitlines()[1].split("\t")
+        assert first_paragraph[5] == phrase and len(phrase) == 10
+
+
+def test_conservation_check_raises_on_counts_that_do_not_add_up():
+    counts = {"generated": 10, "identical": 1, "unretrievable": 2,
+              "non_html": 1, "evaluated": 5, "errors": 1, "accepted": 3,
+              "rejected": 1, "language_filtered": 1}
+    check_conservation(counts)
+    with pytest.raises(ConservationError, match="generated 11 != 10"):
+        check_conservation(dict(counts, generated=11))
+    with pytest.raises(ConservationError, match="evaluated 5 != 6"):
+        check_conservation(dict(counts, accepted=4))
