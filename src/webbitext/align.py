@@ -9,15 +9,34 @@ preference for pairing changed lines over deleting and inserting them.
 Tag tokens never substitute across different labels.  Unmatched tokens
 cost 1 each and are the mismatches that the downstream threshold counts.
 
-The alignment minimizes total cost with a standard quadratic dynamic
-program.  Among equal-cost alignments the one with the fewest gap tokens
-is chosen (so the mismatch count is a canonical, symmetric quantity);
-remaining ties break Match > Pair > GapLeft > GapRight scanning left to
-right, purely for determinism.
+The alignment minimizes total cost with a suffix-cost dynamic program
+(Ukkonen 1985, "Algorithms for approximate string matching") that fills
+only a diagonal band of the (n+1)(m+1) table.  With delta = m - n, row i
+covers the columns i + min(0, delta) - w .. i + max(0, delta) + w.  A
+path that leaves this band has at least |delta| + 2(w + 1) gaps, and
+every gap costs 1, so a band optimum below that bound is the global
+optimum: the band certifies itself.  The first w comes from an O(n + m)
+bound.  When every diagonal pairing is legal, the cost of the diagonal
+alignment bounds the optimum from above and certifies the band in one
+pass; this is the usual case for a page and its translation.  Otherwise
+the tag-label and chunk count differences bound the gaps from below; if
+that band fails to certify, a second pass at the width its optimum
+demands always succeeds.  A band that would cover about half the table
+or more runs at full width, which is the same code with the band set to
+the whole table, so a structurally alien pair costs what the quadratic
+program costs.  Band cells get the full table's values bit for bit
+wherever their best path stays inside the band, so the ops chosen below
+are exactly the full program's.
+
+Among equal-cost alignments the one with the fewest gap tokens is chosen
+(so the mismatch count is a canonical, symmetric quantity); remaining
+ties break Match > Pair > GapLeft > GapRight scanning left to right,
+purely for determinism.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +138,83 @@ def _sub_cost(lt, rt):
     return _INF
 
 
+def _diagonal_cost(lt, rt):
+    """DP cost of pairing token k with token k and gapping the longer tail.
+
+    This is the cost of one legal alignment, so an upper bound on the
+    optimum; None when some diagonal pairing is illegal.
+    """
+    cost = 0.0
+    for a, b in zip(lt, rt):
+        sc = _sub_cost(a, b)
+        if sc == _INF:
+            return None
+        cost += sc
+    return cost + abs(len(lt) - len(rt)) * _GAP_DP
+
+
+def _label_count_bound(lt, rt):
+    """Lower bound on the gaps of any alignment.
+
+    A token pairs only with a token of its own class (one tag kind and
+    label, or any chunk), so each class's count difference is gapped.
+    """
+    counts = Counter((t.kind, t.label) for t in lt)
+    counts.subtract((t.kind, t.label) for t in rt)
+    return sum(abs(c) for c in counts.values())
+
+
+def _suffix_costs(lt, r_len, r_tag, tag_ids, shift, width):
+    """Suffix-cost table over a diagonal band of ``width`` columns per row.
+
+    Row i holds dp[i, j] = min cost aligning lt[i:] with rt[j:] for the
+    columns start[i] .. start[i] + width - 1, where start[i] is
+    i + shift clamped to [0, m + 1 - width]; cells outside the band count
+    as unreachable.  Returns (start, table).  Steps are indexed by
+    absolute column and the float operations run in the full table's
+    order, so a cell whose best path stays in the band gets the full
+    table's value bit for bit, and any other cell a value no smaller.
+    """
+    n, m = len(lt), len(r_len)
+    r_is_chunk = r_tag < 0
+    top = m + 1 - width
+    start = [min(max(i + shift, 0), top) for i in range(n + 1)]
+    steps = np.arange(m + 1, dtype=np.float64) * _GAP_DP
+    dp = np.empty((n + 1, width), dtype=np.float64)
+    a = start[n]
+    dp[n] = np.arange(m - a, m - a - width, -1, dtype=np.float64) * _GAP_DP
+    for i in range(n - 1, -1, -1):
+        a = start[i]
+        up = start[i + 1] - a  # 1 when the next row's band starts one later
+        nxt = dp[i + 1]
+        b = a + width - 1 + up  # substitutions needed for columns a .. b-1
+        t = lt[i]
+        if t.kind == KIND_CHUNK:
+            llen = t.length
+            rl = r_len[a:b]
+            hi = np.maximum(rl, max(llen, 1))  # tag columns have length 0
+            lo = np.minimum(rl, llen)
+            sub = np.where(r_is_chunk[a:b],
+                           np.where(rl == llen, 0.0, 1.0 - lo / hi),
+                           _INF)
+        else:
+            code = tag_ids.get((t.kind, t.label), -2)
+            sub = np.where(r_tag[a:b] == code, 0.0, _INF)
+        # Consume left token i at column j: substitution or a left gap.
+        if up:
+            base = nxt + sub
+            base[1:] = np.minimum(base[1:], nxt[:-1] + _GAP_DP)
+        else:
+            base = np.empty(width, dtype=np.float64)
+            base[:-1] = np.minimum(nxt[1:] + sub, nxt[:-1] + _GAP_DP)
+            base[-1] = nxt[-1] + _GAP_DP
+        # Right gaps before that: dp[i, j] = min_{k>=j} base[k] + (k-j)*gap.
+        keyed = base + steps[a:a + width]
+        np.minimum.accumulate(keyed[::-1], out=keyed[::-1])
+        dp[i] = keyed - steps[a:a + width]
+    return start, dp
+
+
 def align(left, right):
     """Optimal monotone alignment of two LinearDocuments.
 
@@ -135,32 +231,35 @@ def align(left, right):
 
     tag_ids = {}
     _, r_len, r_tag = _token_codes(rt, tag_ids)
-    r_is_chunk = r_tag < 0
+    delta = abs(m - n)
+    # Computed and exact path costs differ by under (n + m + 1)^2 * 2^-48
+    # (a few roundings of values below 4(n + m + 1) per step); this slack
+    # is 256 times that, so rounding can never fake a certificate.
+    slack = 2.0 ** -40 * (total + 1) ** 2
+    bound = _diagonal_cost(lt, rt)
+    if bound is None:
+        bound = _label_count_bound(lt, rt)
+    while True:
+        w = int((bound - delta) // 2) + 1
+        width = delta + 2 * w + 1
+        if 2 * width >= m + 1:
+            width = m + 1
+        start, dp = _suffix_costs(lt, r_len, r_tag, tag_ids,
+                                  min(0, m - n) - w, width)
+        optimum = dp[0, 0]
+        # A path that leaves the band has at least this many gaps.
+        escape = delta + 2 * (w + 1)
+        if width == m + 1 or optimum < escape - slack:
+            break
+        # Widen to what this optimum needs: the next escape exceeds it by
+        # 2 or more and the next optimum is no larger, so the second pass
+        # certifies.  Growing the bound by 2 or more keeps the loop finite.
+        bound = max(optimum, bound + 2)
+        del dp
 
-    # Suffix costs: dp[i, j] = min cost aligning lt[i:] with rt[j:].
-    dp = np.empty((n + 1, m + 1), dtype=np.float64)
-    dp[n, :] = np.arange(m, -1, -1, dtype=np.float64) * _GAP_DP
-    steps = np.arange(m + 1, dtype=np.float64) * _GAP_DP
-    for i in range(n - 1, -1, -1):
-        t = lt[i]
-        if t.kind == KIND_CHUNK:
-            llen = t.length
-            hi = np.maximum(np.maximum(r_len, llen), 1)
-            lo = np.minimum(r_len, llen)
-            sub = np.where(r_is_chunk,
-                           np.where(r_len == llen, 0.0, 1.0 - lo / hi),
-                           _INF)
-        else:
-            code = tag_ids.get((t.kind, t.label), -2)
-            sub = np.where(r_tag == code, 0.0, _INF)
-        # Consume left token i at column j: substitution or a left gap.
-        base = np.empty(m + 1, dtype=np.float64)
-        base[:m] = np.minimum(dp[i + 1, 1:] + sub, dp[i + 1, :m] + _GAP_DP)
-        base[m] = dp[i + 1, m] + _GAP_DP
-        # Right gaps before that: dp[i, j] = min_{k>=j} base[k] + (k-j)*gap.
-        keyed = base + steps
-        np.minimum.accumulate(keyed[::-1], out=keyed[::-1])
-        dp[i, :] = keyed - steps
+    def at(i, j):
+        k = j - start[i]
+        return dp[i, k] if 0 <= k < width else _INF
 
     # Forward walk; recomputing candidates keeps tie preference explicit.
     ops = []
@@ -172,15 +271,15 @@ def align(left, right):
         if i < n and j < m:
             sc = _sub_cost(lt[i], rt[j])
             if sc == 0.0:
-                best = (dp[i + 1, j + 1], 0, MATCH, 0.0)
+                best = (at(i + 1, j + 1), 0, MATCH, 0.0)
             elif sc < _INF:
-                best = (sc + dp[i + 1, j + 1], 1, PAIR, sc)
+                best = (sc + at(i + 1, j + 1), 1, PAIR, sc)
         if i < n:
-            cand = (_GAP_DP + dp[i + 1, j], 2, GAP_LEFT, _GAP_TRUE)
+            cand = (_GAP_DP + at(i + 1, j), 2, GAP_LEFT, _GAP_TRUE)
             if best is None or cand[:2] < best[:2]:
                 best = cand
         if j < m:
-            cand = (_GAP_DP + dp[i, j + 1], 3, GAP_RIGHT, _GAP_TRUE)
+            cand = (_GAP_DP + at(i, j + 1), 3, GAP_RIGHT, _GAP_TRUE)
             if best is None or cand[:2] < best[:2]:
                 best = cand
         kind = best[2]

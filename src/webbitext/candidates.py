@@ -114,15 +114,16 @@ def resolve_locator(base, href):
     return os.path.normpath(os.path.join(os.path.dirname(base), href))
 
 
-def extract_candidates(hub_source, hub_locator, cfg):
+def extract_candidates(hub_source, hub_locator, cfg, encoding=None):
     """All (lang1, lang2) anchor pairs within the line-distance bound.
 
     Returns CandidatePairs with hrefs resolved against the hub locator and
-    exact (url1, url2) duplicates collapsed.  An unparseable hub yields an
-    empty list, never an exception.
+    exact (url1, url2) duplicates collapsed.  ``encoding`` is the charset
+    from the hub's HTTP header, if any; see ``decode_html``.  An
+    unparseable hub yields an empty list, never an exception.
     """
     try:
-        text = decode_html(hub_source)
+        text = decode_html(hub_source, encoding)
         anchors = [a for a in parse_anchors(text) if a.href]
     except Exception:
         return []

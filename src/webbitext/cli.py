@@ -20,11 +20,11 @@ from .align import GAP_LEFT, GAP_RIGHT, MATCH, align, mismatch_ratio
 from .candidates import (GeneratorConfig, LocalFileBackend, build_query,
                          extract_candidates)
 from .evaluate import EvaluatorConfig, evaluate_pair
-from .fetch import FetchPolicy, Fetcher, PageCache, is_local, local_path
+from .fetch import FetchPolicy, Fetcher, PageCache
 from .langid import NgramModel, classify, train
 from .linearize import linearize, render_token
-from .pipeline import (PipelineConfig, read_candidates_tsv, run_pipeline,
-                       score_report_files, write_candidates_tsv)
+from .pipeline import (PipelineConfig, read_candidates_tsv, read_hub,
+                       run_pipeline, score_report_files, write_candidates_tsv)
 
 
 def _add_common(parser):
@@ -118,29 +118,23 @@ def cmd_evaluate(args):
     return 0 if report.accepted else 1
 
 
-def _iter_hub_pairs(hubs, cfg, cache_dir):
-    fetcher = Fetcher(PageCache(cache_dir), FetchPolicy())
-    for hub in hubs:
-        if is_local(hub):
-            with open(local_path(hub), "rb") as fh:
-                source = fh.read()
-        else:
-            result = fetcher.fetch(hub)
-            if not result.retrieved:
-                print("hub %s: %s" % (hub, result.status), file=sys.stderr)
-                continue
-            source = fetcher.body(result)
-        yield from extract_candidates(source, hub, cfg)
-
-
 def cmd_generate(args):
     cfg = _generator_config(args)
     backend = LocalFileBackend(args.hubs)
     hubs = backend.search(build_query(sorted(cfg.lang1_names)[0],
                                       sorted(cfg.lang2_names)[0]),
                           max_hits=cfg.max_hits)
+    pairs = []
     with tempfile.TemporaryDirectory() as tmp:
-        pairs = list(_iter_hub_pairs(hubs, cfg, args.cache or tmp))
+        fetcher = Fetcher(PageCache(args.cache or tmp), FetchPolicy())
+        for hub in hubs:
+            try:
+                source, charset = read_hub(fetcher, hub)
+            except OSError as err:
+                print(err, file=sys.stderr)
+                continue
+            pairs.extend(extract_candidates(source, hub, cfg,
+                                            encoding=charset))
     unique = list({(p.url1, p.url2): p for p in pairs}.values())
     if args.out:
         write_candidates_tsv(unique, args.out)

@@ -291,7 +291,9 @@ def build_corpus(root):
     register("pdfen.html", "doc-es.pdf", 0)
 
     hubs.flush()
-    assert pair_count == 30 and len(hubs.hub_paths) == 20
+    if pair_count != 30 or len(hubs.hub_paths) != 20:
+        raise RuntimeError("demo corpus has %d pairs in %d hubs, expected "
+                           "30 in 20" % (pair_count, len(hubs.hub_paths)))
 
     hubs_file = os.path.join(root, "hubs.txt")
     with open(hubs_file, "w", encoding="utf-8") as fh:

@@ -58,7 +58,8 @@ def end_token(label, offset=0):
 
 
 def chunk_token(text, offset=0):
-    length = sum(1 for c in text if not c.isspace())
+    # str.split() splits on exactly the characters isspace() accepts.
+    length = len("".join(text.split()))
     return Token(KIND_CHUNK, offset, length=length, text=text)
 
 

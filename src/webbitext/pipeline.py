@@ -194,13 +194,18 @@ def _read_body(path):
         return fh.read()
 
 
-def _read_hub(fetcher, locator):
+def read_hub(fetcher, locator):
+    """(body bytes, header charset) of one hub page.
+
+    A local hub has no header, so its charset is "".  Raises OSError when
+    the hub cannot be read or fetched.
+    """
     if is_local(locator):
-        return _read_body(local_path(locator))
+        return _read_body(local_path(locator)), ""
     result = fetcher.fetch(locator)
     if not result.retrieved:
         raise IOError("hub %s: %s" % (locator, result.status))
-    return fetcher.body(result)
+    return fetcher.body(result), result.charset
 
 
 def _evaluate_job(left, right, evaluator):
@@ -283,11 +288,12 @@ def run_pipeline(cfg, hubs):
     hub_errors = []
     for hub in hubs:
         try:
-            source = _read_hub(fetcher, hub)
+            source, charset = read_hub(fetcher, hub)
         except Exception as err:
             hub_errors.append({"hub": hub, "error": str(err)})
             continue
-        candidates_raw.extend(extract_candidates(source, hub, cfg.generator))
+        candidates_raw.extend(extract_candidates(source, hub, cfg.generator,
+                                                 encoding=charset))
     seen = set()
     generated = []
     for pair in candidates_raw:

@@ -111,6 +111,17 @@ class StubServer:
         self.httpd.server_close()
 
 
+def serve_shift_jis_hub(server):
+    """Serve a hub whose Japanese anchor decodes only with its header charset.
+
+    Returns the hub URL.  Its one candidate pair is /en.html, /ja.html.
+    """
+    hub = '<A HREF="/en.html">English</A> <A HREF="/ja.html">日本語</A>'
+    server.add_page("/hub.html", hub.encode("shift_jis"),
+                    "text/html; charset=Shift_JIS")
+    return server.base_url + "/hub.html"
+
+
 @pytest.fixture
 def stub_server():
     server = StubServer()

@@ -1,14 +1,18 @@
 """Aligner tests against an exact-arithmetic brute-force oracle."""
 
+import importlib
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from webbitext import ChunkPairSet, align, chunk_pairs, mismatch_ratio
-from webbitext.align import GAP_LEFT, GAP_RIGHT, MATCH, PAIR
+from webbitext.align import (GAP_LEFT, GAP_RIGHT, MATCH, PAIR, AlignOp,
+                             Alignment)
 from webbitext.linearize import (KIND_CHUNK, LinearDocument, chunk_token,
                                  end_token, start_token)
 
@@ -90,6 +94,133 @@ def random_tokens(rng, max_len=8, max_chunk=20):
 
 def doc(tokens):
     return LinearDocument(list(tokens))
+
+
+# --- full-table oracle ------------------------------------------------------
+# The quadratic DP that the banded align() replaced, kept verbatim with its
+# helpers.  The banded aligner must return exactly its ops and costs.
+
+_GAP_TRUE = 1.0
+_GAP_EPS = 2.0 ** -40
+_GAP_DP = _GAP_TRUE + _GAP_EPS
+_INF = float("inf")
+
+
+def _token_codes(tokens, tag_ids):
+    """Vector encodings: chunk mask, lengths, and tag identity codes."""
+    k = len(tokens)
+    is_chunk = np.zeros(k, dtype=bool)
+    lengths = np.zeros(k, dtype=np.int64)
+    tags = np.full(k, -1, dtype=np.int64)
+    for idx, t in enumerate(tokens):
+        if t.kind == KIND_CHUNK:
+            is_chunk[idx] = True
+            lengths[idx] = t.length
+        else:
+            tags[idx] = tag_ids.setdefault((t.kind, t.label), len(tag_ids))
+    return is_chunk, lengths, tags
+
+
+def _sub_cost(lt, rt):
+    """Scalar substitution cost between two tokens; inf when illegal."""
+    lc = lt.kind == KIND_CHUNK
+    rc = rt.kind == KIND_CHUNK
+    if lc and rc:
+        if lt.length == rt.length:
+            return 0.0
+        return 1.0 - min(lt.length, rt.length) / max(lt.length, rt.length)
+    if not lc and not rc and lt.kind == rt.kind and lt.label == rt.label:
+        return 0.0
+    return _INF
+
+
+def reference_align(left, right):
+    """Optimal monotone alignment of two LinearDocuments.
+
+    Every token of both inputs is covered by exactly one op; the op list
+    is in document order.  ``mismatch_count`` counts gap-covered tokens,
+    ``cost`` is the minimized objective (gaps at 1, pairs at 1 - min/max).
+    """
+    lt = left.tokens
+    rt = right.tokens
+    n, m = len(lt), len(rt)
+    total = n + m
+    if total == 0:
+        return Alignment([], 0, 0, 0.0)
+
+    tag_ids = {}
+    _, r_len, r_tag = _token_codes(rt, tag_ids)
+    r_is_chunk = r_tag < 0
+
+    # Suffix costs: dp[i, j] = min cost aligning lt[i:] with rt[j:].
+    dp = np.empty((n + 1, m + 1), dtype=np.float64)
+    dp[n, :] = np.arange(m, -1, -1, dtype=np.float64) * _GAP_DP
+    steps = np.arange(m + 1, dtype=np.float64) * _GAP_DP
+    for i in range(n - 1, -1, -1):
+        t = lt[i]
+        if t.kind == KIND_CHUNK:
+            llen = t.length
+            hi = np.maximum(np.maximum(r_len, llen), 1)
+            lo = np.minimum(r_len, llen)
+            sub = np.where(r_is_chunk,
+                           np.where(r_len == llen, 0.0, 1.0 - lo / hi),
+                           _INF)
+        else:
+            code = tag_ids.get((t.kind, t.label), -2)
+            sub = np.where(r_tag == code, 0.0, _INF)
+        # Consume left token i at column j: substitution or a left gap.
+        base = np.empty(m + 1, dtype=np.float64)
+        base[:m] = np.minimum(dp[i + 1, 1:] + sub, dp[i + 1, :m] + _GAP_DP)
+        base[m] = dp[i + 1, m] + _GAP_DP
+        # Right gaps before that: dp[i, j] = min_{k>=j} base[k] + (k-j)*gap.
+        keyed = base + steps
+        np.minimum.accumulate(keyed[::-1], out=keyed[::-1])
+        dp[i, :] = keyed - steps
+
+    # Forward walk; recomputing candidates keeps tie preference explicit.
+    ops = []
+    mismatches = 0
+    cost = 0.0
+    i = j = 0
+    while i < n or j < m:
+        best = None  # (dp value, preference, kind, true cost)
+        if i < n and j < m:
+            sc = _sub_cost(lt[i], rt[j])
+            if sc == 0.0:
+                best = (dp[i + 1, j + 1], 0, MATCH, 0.0)
+            elif sc < _INF:
+                best = (sc + dp[i + 1, j + 1], 1, PAIR, sc)
+        if i < n:
+            cand = (_GAP_DP + dp[i + 1, j], 2, GAP_LEFT, _GAP_TRUE)
+            if best is None or cand[:2] < best[:2]:
+                best = cand
+        if j < m:
+            cand = (_GAP_DP + dp[i, j + 1], 3, GAP_RIGHT, _GAP_TRUE)
+            if best is None or cand[:2] < best[:2]:
+                best = cand
+        kind = best[2]
+        cost += best[3]
+        if kind == MATCH or kind == PAIR:
+            ops.append(AlignOp(kind, i, j))
+            i += 1
+            j += 1
+        elif kind == GAP_LEFT:
+            ops.append(AlignOp(kind, left_index=i))
+            mismatches += 1
+            i += 1
+        else:
+            ops.append(AlignOp(kind, right_index=j))
+            mismatches += 1
+            j += 1
+    return Alignment(ops, mismatches, total, cost)
+
+
+def assert_matches_reference(left, right):
+    got = align(doc(left), doc(right))
+    want = reference_align(doc(left), doc(right))
+    assert got.ops == want.ops
+    assert got.mismatch_count == want.mismatch_count
+    assert got.cost == want.cost
 
 
 # --- unit tests ------------------------------------------------------------
@@ -274,3 +405,136 @@ def test_zero_cost_iff_identical(left, right):
     same = ([(t.kind, t.label, t.length) for t in left]
             == [(t.kind, t.label, t.length) for t in right])
     assert (a.cost == 0.0) == same
+
+
+# --- banded aligner against the full-table oracle ---------------------------
+
+_align_module = importlib.import_module("webbitext.align")
+
+
+@pytest.fixture
+def band_passes(monkeypatch):
+    """(band width, full width) of every DP pass align() runs."""
+    passes = []
+    fill = _align_module._suffix_costs
+
+    def spy(lt, r_len, *args):
+        start, dp = fill(lt, r_len, *args)
+        passes.append((dp.shape[1], len(r_len) + 1))
+        return start, dp
+
+    monkeypatch.setattr(_align_module, "_suffix_costs", spy)
+    return passes
+
+
+def block(tag, length):
+    return [start_token(tag), chunk_token("x" * length), end_token(tag)]
+
+
+def same_skeleton_pair(rng, blocks, stretch=1.1):
+    """A page and a 'translation': same tags, chunks up to ``stretch`` longer."""
+    left, right = [], []
+    for _ in range(blocks):
+        tag = rng.choice(["P", "LI", "TD", "H2"])
+        x = rng.randint(5, 300)
+        left += block(tag, x)
+        right += block(tag, max(1, round(x * rng.uniform(1.0, stretch))))
+    return left, right
+
+
+def edited(rng, tokens, edits):
+    """``tokens`` with random insertions, deletions and replacements."""
+    out = list(tokens)
+    for _ in range(edits):
+        pos = rng.randrange(len(out) + 1)
+        roll = rng.random()
+        if roll < 0.4 or not out:
+            out[pos:pos] = random_tokens(rng, max_len=3)
+        elif roll < 0.8:
+            del out[min(pos, len(out) - 1)]
+        else:
+            kind, label = rng.choice(_TAG_POOL)
+            out[min(pos, len(out) - 1)] = rng.choice(
+                [chunk_token("z" * rng.randint(1, 40)),
+                 start_token(label) if kind == "start" else end_token(label)])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_token_seqs(), _token_seqs())
+def test_banded_matches_oracle_on_random_sequences(left, right):
+    assert_matches_reference(left, right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_token_seqs(max_len=40), _token_seqs(max_len=40))
+def test_banded_matches_oracle_on_longer_random_sequences(left, right):
+    assert_matches_reference(left, right)
+
+
+def test_long_same_skeleton_pairs_certify_in_one_narrow_pass(band_passes):
+    rng = random.Random(11)
+    for blocks in (40, 300, 900):
+        del band_passes[:]
+        left, right = same_skeleton_pair(rng, blocks)
+        assert_matches_reference(left, right)
+        (width, full), = band_passes
+        assert width < full / 4
+
+
+def test_banded_matches_oracle_on_edited_same_skeleton_pairs():
+    rng = random.Random(5)
+    for _ in range(150):
+        left, right = same_skeleton_pair(rng, rng.randint(1, 40))
+        assert_matches_reference(edited(rng, left, rng.randint(0, 6)),
+                                 edited(rng, right, rng.randint(0, 6)))
+
+
+def test_unequal_lengths_empty_sides_and_all_tag_sides():
+    rng = random.Random(8)
+    left, right = same_skeleton_pair(rng, 60)
+    extra = same_skeleton_pair(rng, 25)[0]
+    tags = [start_token(label) if rng.random() < 0.5 else end_token(label)
+            for label in rng.choices(["A", "P", "LI", "TD"], k=120)]
+    cases = [
+        (left + extra, right), (left, extra + right),
+        (left[:90] + left[150:], right),
+        ([], right), (left, []), ([], tags), (tags, []),
+        (tags, tags[5:] + tags[:5]),
+        (tags, [t for t in left if not t.is_chunk()]), (tags[:40], left),
+        # zero-length chunks, which linearize never emits but Token allows
+        ([chunk_token(" "), start_token("P")] * 5,
+         [chunk_token("ab"), chunk_token(" "), start_token("P")] * 4),
+    ]
+    for a, b in cases:
+        assert_matches_reference(a, b)
+        assert_matches_reference(b, a)
+
+
+def test_moved_block_widens_the_band(band_passes):
+    rng = random.Random(2)
+    left, right = same_skeleton_pair(rng, 80)
+    cut = 3 * 8  # eight blocks move from the start to the end
+    assert_matches_reference(left, right[cut:] + right[:cut])
+    assert len(band_passes) == 2  # narrow first pass, then the widening pass
+
+
+def test_shifted_translation_widens_to_a_band_narrower_than_the_table(
+        band_passes):
+    rng = random.Random(4)
+    left, right = same_skeleton_pair(rng, 150, stretch=1.3)
+    assert_matches_reference(left, [start_token("DIV")] + right)
+    first, second = band_passes[:2]
+    assert first[0] < second[0] < second[1]
+
+
+def test_same_skeleton_alignment_stores_a_small_part_of_the_table():
+    left, right = same_skeleton_pair(random.Random(3), 1000)
+    table_bytes = (len(left) + 1) * (len(right) + 1) * 8
+    tracemalloc.start()
+    try:
+        align(doc(left), doc(right))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * table_bytes

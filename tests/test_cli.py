@@ -6,7 +6,7 @@ import pytest
 
 from webbitext.cli import main
 
-from conftest import text_with_length
+from conftest import serve_shift_jis_hub, text_with_length
 
 
 @pytest.fixture
@@ -86,6 +86,17 @@ def test_generate_writes_candidates_tsv(capsys, tmp_path):
     assert out[0] == str(tmp_path / "en.html")
     assert out[1] == str(tmp_path / "es.html")
     assert out[3] == "1"
+
+
+def test_generate_decodes_hub_with_header_charset(capsys, stub_server,
+                                                   tmp_path):
+    hubs = tmp_path / "hubs.txt"
+    hubs.write_text(serve_shift_jis_hub(stub_server) + "\n", encoding="utf-8")
+    assert main(["generate", "--lang1", "english", "--lang2", "日本語",
+                 "--hubs", str(hubs)]) == 0
+    out = capsys.readouterr().out.strip().split("\t")
+    assert out[:2] == [stub_server.base_url + "/en.html",
+                       stub_server.base_url + "/ja.html"]
 
 
 def test_langid_train_and_classify(capsys, tmp_path):

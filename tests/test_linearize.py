@@ -1,12 +1,13 @@
 """Linearizer tests, checked against an independent stdlib-based oracle."""
 
+import sys
 from html.parser import HTMLParser
 
 from hypothesis import given, strategies as st
 
 from webbitext import chunk_texts, linearize, render_token
 from webbitext.linearize import (KIND_CHUNK, KIND_END, KIND_START,
-                                 decode_html)
+                                 chunk_token, decode_html)
 
 
 class _StripTagsOracle(HTMLParser):
@@ -179,6 +180,17 @@ def test_render_token_forms():
     doc = linearize('<A HREF="x">abc</A>')
     assert [render_token(t) for t in doc.tokens] == \
         ["[START:A]", "[Chunk:3]", "[END:A]"]
+
+
+def test_chunk_length_skips_exactly_the_isspace_characters():
+    # chunk_token counts with str.split(), which must split on precisely
+    # the characters str.isspace() accepts, across all of Unicode.
+    disagree = [cp for cp in range(sys.maxunicode + 1)
+                if (not chr(cp).split()) != chr(cp).isspace()]
+    assert disagree == []
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert chunk_token(everything).length == \
+        sum(1 for c in everything if not c.isspace())
 
 
 def test_linearize_is_deterministic():

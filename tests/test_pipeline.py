@@ -15,7 +15,7 @@ from webbitext.pipeline import (ConservationError, check_conservation,
                                 read_candidates_tsv, score_report_files,
                                 write_candidates_tsv)
 
-from conftest import text_with_length
+from conftest import serve_shift_jis_hub, text_with_length
 
 
 def corpus_config(demo_corpus, out_dir, **kwargs):
@@ -387,6 +387,20 @@ def test_header_charset_reaches_the_decoder(stub_server, tmp_path, jobs):
                   encoding="utf-8") as fh:
             first_paragraph = fh.read().splitlines()[1].split("\t")
         assert first_paragraph[5] == phrase and len(phrase) == 10
+
+
+def test_hub_header_charset_reaches_candidate_extraction(stub_server,
+                                                         tmp_path):
+    cfg = PipelineConfig(
+        generator=GeneratorConfig(frozenset({"english"}),
+                                  frozenset({"日本語"})),
+        fetch=FetchPolicy(min_interval=0.0, timeout=5.0),
+        out_dir=str(tmp_path / "out"))
+    manifest = run_pipeline(cfg, [serve_shift_jis_hub(stub_server)])
+    assert manifest["counts"]["generated"] == 1
+    with open(tmp_path / "out" / "candidates.tsv", encoding="utf-8") as fh:
+        assert fh.read().split("\t")[:2] == [stub_server.base_url + "/en.html",
+                                             stub_server.base_url + "/ja.html"]
 
 
 def test_conservation_check_raises_on_counts_that_do_not_add_up():
