@@ -15,18 +15,16 @@ only a diagonal band of the (n+1)(m+1) table.  With delta = m - n, row i
 covers the columns i + min(0, delta) - w .. i + max(0, delta) + w.  A
 path that leaves this band has at least |delta| + 2(w + 1) gaps, and
 every gap costs 1, so a band optimum below that bound is the global
-optimum: the band certifies itself.  The first w comes from an O(n + m)
-bound.  When every diagonal pairing is legal, the cost of the diagonal
-alignment bounds the optimum from above and certifies the band in one
-pass; this is the usual case for a page and its translation.  Otherwise
-the tag-label and chunk count differences bound the gaps from below; if
-that band fails to certify, a second pass at the width its optimum
-demands always succeeds.  A band that would cover about half the table
-or more runs at full width, which is the same code with the band set to
-the whole table, so a structurally alien pair costs what the quadratic
-program costs.  Band cells get the full table's values bit for bit
-wherever their best path stays inside the band, so the ops chosen below
-are exactly the full program's.
+optimum: the band certifies itself.  When every diagonal pairing is
+legal, the cost of the diagonal alignment bounds the optimum from above,
+and w is chosen so that the band certifies in one pass; this is the
+usual case for a page and its translation.  When some diagonal pairing
+is illegal, or the band would be as wide as the table, the program runs
+at full width, which is the same code with the band set to the whole
+table, so a structurally alien pair costs what the quadratic program
+costs.  Band cells get the full table's values bit for bit wherever
+their best path stays inside the band, so the ops chosen below are
+exactly the full program's.
 
 Among equal-cost alignments the one with the fewest gap tokens is chosen
 (so the mismatch count is a canonical, symmetric quantity); remaining
@@ -36,7 +34,6 @@ purely for determinism.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,17 +150,6 @@ def _diagonal_cost(lt, rt):
     return cost + abs(len(lt) - len(rt)) * _GAP_DP
 
 
-def _label_count_bound(lt, rt):
-    """Lower bound on the gaps of any alignment.
-
-    A token pairs only with a token of its own class (one tag kind and
-    label, or any chunk), so each class's count difference is gapped.
-    """
-    counts = Counter((t.kind, t.label) for t in lt)
-    counts.subtract((t.kind, t.label) for t in rt)
-    return sum(abs(c) for c in counts.values())
-
-
 def _suffix_costs(lt, r_len, r_tag, tag_ids, shift, width):
     """Suffix-cost table over a diagonal band of ``width`` columns per row.
 
@@ -237,25 +223,21 @@ def align(left, right):
     # is 256 times that, so rounding can never fake a certificate.
     slack = 2.0 ** -40 * (total + 1) ** 2
     bound = _diagonal_cost(lt, rt)
-    if bound is None:
-        bound = _label_count_bound(lt, rt)
-    while True:
+    width = m + 1
+    if bound is not None:
         w = int((bound - delta) // 2) + 1
-        width = delta + 2 * w + 1
-        if 2 * width >= m + 1:
-            width = m + 1
+        width = min(delta + 2 * w + 1, m + 1)
+    if width < m + 1:
         start, dp = _suffix_costs(lt, r_len, r_tag, tag_ids,
                                   min(0, m - n) - w, width)
-        optimum = dp[0, 0]
-        # A path that leaves the band has at least this many gaps.
-        escape = delta + 2 * (w + 1)
-        if width == m + 1 or optimum < escape - slack:
-            break
-        # Widen to what this optimum needs: the next escape exceeds it by
-        # 2 or more and the next optimum is no larger, so the second pass
-        # certifies.  Growing the bound by 2 or more keeps the loop finite.
-        bound = max(optimum, bound + 2)
-        del dp
+        # The optimum is at most the diagonal bound, and a path that
+        # leaves the band has at least delta + 2(w + 1) > bound + 2 gaps,
+        # so this check always passes; it guards the exactness claim.
+        if not dp[0, 0] < delta + 2 * (w + 1) - slack:
+            width = m + 1
+            del dp
+    if width == m + 1:
+        start, dp = _suffix_costs(lt, r_len, r_tag, tag_ids, 0, width)
 
     def at(i, j):
         k = j - start[i]

@@ -511,21 +511,46 @@ def test_unequal_lengths_empty_sides_and_all_tag_sides():
         assert_matches_reference(b, a)
 
 
-def test_moved_block_widens_the_band(band_passes):
+def test_moved_block_matches_oracle_at_full_width(band_passes):
     rng = random.Random(2)
     left, right = same_skeleton_pair(rng, 80)
     cut = 3 * 8  # eight blocks move from the start to the end
     assert_matches_reference(left, right[cut:] + right[:cut])
-    assert len(band_passes) == 2  # narrow first pass, then the widening pass
+    # Some diagonal pairing is illegal, so one pass covers the whole table.
+    assert band_passes == [(len(right) + 1,) * 2]
 
 
-def test_shifted_translation_widens_to_a_band_narrower_than_the_table(
-        band_passes):
+def test_shifted_translation_matches_oracle_at_full_width(band_passes):
     rng = random.Random(4)
     left, right = same_skeleton_pair(rng, 150, stretch=1.3)
-    assert_matches_reference(left, [start_token("DIV")] + right)
-    first, second = band_passes[:2]
-    assert first[0] < second[0] < second[1]
+    right = [start_token("DIV")] + right
+    assert_matches_reference(left, right)
+    assert band_passes == [(len(right) + 1,) * 2]
+
+
+def test_certificate_accepts_a_band_only_when_it_holds_the_optimum(
+        band_passes, monkeypatch):
+    # Any first bound, even one below the optimum, must give the oracle's
+    # ops: a band whose optimum it cannot certify is run again at full width.
+    rng = random.Random(2)
+    left, right = same_skeleton_pair(rng, 40)
+    cases = [
+        (left, right[6:] + right[:6]),  # two blocks move to the end
+        # At w = 1 the band's best (pair the chunks, 4.2) is above the
+        # optimum (match P, 4 gaps), which leaves the band: escape is 4.
+        ([start_token("P"), chunk_token("x" * 5), start_token("Q")],
+         [chunk_token("x" * 4), chunk_token("y" * 4), start_token("P")]),
+    ]
+    for left, right in cases:
+        passes = set()
+        delta = abs(len(left) - len(right))
+        for bound in range(delta, delta + 40):
+            monkeypatch.setattr(_align_module, "_diagonal_cost",
+                                lambda lt, rt: float(bound))
+            del band_passes[:]
+            assert_matches_reference(left, right)
+            passes.add(len(band_passes))
+        assert passes == {1, 2}  # some first bands fall back, others not
 
 
 def test_same_skeleton_alignment_stores_a_small_part_of_the_table():
