@@ -10,8 +10,7 @@ ALT attributes, and in the URLs themselves.
 """
 
 from webbitext import (GeneratorConfig, anchor_matches, build_query,
-                       extract_candidates, parse_anchors,
-                       url_pattern_candidates)
+                       extract_candidates, parse_anchors)
 
 print("Search query for hub pages:")
 print(" ", build_query("english", "spanish"))
@@ -45,9 +44,3 @@ print("Candidate pairs (anchor distance <= %d lines):" % cfg.max_line_distance)
 for p in pairs:
     print("  %s  <->  %s   (%d lines apart)"
           % (p.url1, p.url2, p.line_distance))
-print()
-
-print("The optional URL-pattern generator mirrors paths directly:")
-for p in url_pattern_candidates("http://amta98.example/en/program.html",
-                                [("/en/", "/fr/"), ("/en/", "/es/")]):
-    print("  %s  <->  %s" % (p.url1, p.url2))

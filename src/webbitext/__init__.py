@@ -13,19 +13,17 @@ character n-gram language identifier confirms each side's language.
 from .align import (Alignment, AlignOp, ChunkPair, ChunkPairSet, align,
                     aligned_chunks, chunk_pairs, mismatch_ratio)
 from .candidates import (Anchor, CandidatePair, GeneratorConfig,
-                         HttpSearchBackend, LocalFileBackend, anchor_matches,
-                         build_query, extract_candidates, parse_anchors,
-                         url_pattern_candidates)
+                         anchor_matches, build_query, extract_candidates,
+                         parse_anchors, read_hub_list)
 from .evaluate import (ACCEPT, REJECT, CorrelationResult, EvaluationReport,
                        EvaluatorConfig, SegmentPair, decide_lengths,
                        evaluate_pair)
-from .fetch import (FetchPolicy, FetchResult, Fetcher, PageCache,
-                    dedup_identical)
+from .fetch import FetchPolicy, FetchResult, Fetcher, PageCache
 from .langid import NgramModel, classify, language_filter, train
-from .linearize import (LinearDocument, Token, chunk_texts, decode_html,
-                        linearize, render_token)
+from .linearize import (LinearDocument, Token, decode_html, linearize,
+                        render_token)
 from .pipeline import (GoldLabel, PipelineConfig, ScoreSummary, load_gold,
-                       pair_id, run_pipeline, score, score_report_files,
+                       run_pipeline, score, score_report_files,
                        write_segments)
 from .stats import incomplete_beta, p_value, pearson_r, student_t_two_tailed
 
@@ -36,15 +34,15 @@ __all__ = [
     "AlignOp", "Alignment", "Anchor", "CandidatePair", "ChunkPair",
     "ChunkPairSet", "CorrelationResult", "EvaluationReport",
     "EvaluatorConfig", "FetchPolicy", "FetchResult", "Fetcher",
-    "GeneratorConfig", "GoldLabel", "HttpSearchBackend", "LinearDocument",
-    "LocalFileBackend", "NgramModel", "PageCache", "PipelineConfig",
+    "GeneratorConfig", "GoldLabel", "LinearDocument", "NgramModel",
+    "PageCache", "PipelineConfig",
     "ScoreSummary", "SegmentPair", "Token",
     "align", "aligned_chunks", "anchor_matches", "build_query",
-    "chunk_pairs", "chunk_texts", "classify", "decide_lengths",
-    "decode_html", "dedup_identical", "evaluate_pair", "extract_candidates",
+    "chunk_pairs", "classify", "decide_lengths", "decode_html",
+    "evaluate_pair", "extract_candidates",
     "incomplete_beta", "language_filter", "linearize", "load_gold",
-    "mismatch_ratio", "p_value", "pair_id", "parse_anchors", "pearson_r",
-    "render_token", "run_pipeline", "score", "score_report_files",
-    "student_t_two_tailed", "train", "url_pattern_candidates",
+    "mismatch_ratio", "p_value", "parse_anchors", "pearson_r",
+    "read_hub_list", "render_token", "run_pipeline", "score",
+    "score_report_files", "student_t_two_tailed", "train",
     "write_segments",
 ]

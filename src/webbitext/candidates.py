@@ -2,22 +2,22 @@
 
 A hub is any page that links to multiple language versions of some
 content.  Hubs are found with a search query of the form
-``anchor:"language1" AND anchor:"language2"`` issued to a pluggable
-search backend, then every hub is scanned for anchor pairs where one
-anchor mentions language 1, the other mentions language 2, and the two
-anchors sit no more than a configured number of source lines apart
-(default 10).  A language "mention" is a case-insensitive substring hit
-on the anchor's href, its visible text, or the ALT text of any image it
-contains, which is what catches flag-image links and names buried in
-file names like french.gif.
+``anchor:"language1" AND anchor:"language2"``; that search engine no
+longer exists, so hubs come from a prepared list.  Every hub is scanned
+for anchor pairs where one anchor mentions language 1, the other
+mentions language 2, and the two anchors sit no more than a configured
+number of source lines apart (default 10).  A language "mention" is a
+case-insensitive substring hit on the anchor's href, its visible text,
+or the ALT text of any image it contains, which is what catches
+flag-image links and names buried in file names like french.gif.
 """
 
 from __future__ import annotations
 
 import html
+import itertools
 import os
 import urllib.parse
-import urllib.request
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -117,10 +117,12 @@ def resolve_locator(base, href):
 def extract_candidates(hub_source, hub_locator, cfg, encoding=None):
     """All (lang1, lang2) anchor pairs within the line-distance bound.
 
-    Returns CandidatePairs with hrefs resolved against the hub locator and
-    exact (url1, url2) duplicates collapsed.  ``encoding`` is the charset
-    from the hub's HTTP header, if any; see ``decode_html``.  An
-    unparseable hub yields an empty list, never an exception.
+    Returns one CandidatePair per anchor pair, in hub order, with hrefs
+    resolved against the hub locator; a pair of locators linked twice is
+    listed twice (``pipeline.generate_candidates`` keeps the first).
+    ``encoding`` is the charset from the hub's HTTP header, if any; see
+    ``decode_html``.  An unparseable hub yields an empty list, never an
+    exception.
     """
     try:
         text = decode_html(hub_source, encoding)
@@ -130,7 +132,6 @@ def extract_candidates(hub_source, hub_locator, cfg, encoding=None):
     firsts = [a for a in anchors if anchor_matches(a, cfg.lang1_names)]
     seconds = [a for a in anchors if anchor_matches(a, cfg.lang2_names)]
     out = []
-    seen = set()
     for a1 in firsts:
         for a2 in seconds:
             if a1 is a2:
@@ -138,80 +139,21 @@ def extract_candidates(hub_source, hub_locator, cfg, encoding=None):
             dist = abs(a1.line - a2.line)
             if dist > cfg.max_line_distance:
                 continue
-            pair = CandidatePair(resolve_locator(hub_locator, a1.href),
-                                 resolve_locator(hub_locator, a2.href),
-                                 source_hub=hub_locator, line_distance=dist)
-            if (pair.url1, pair.url2) in seen:
-                continue
-            seen.add((pair.url1, pair.url2))
-            out.append(pair)
+            out.append(CandidatePair(resolve_locator(hub_locator, a1.href),
+                                     resolve_locator(hub_locator, a2.href),
+                                     source_hub=hub_locator,
+                                     line_distance=dist))
     return out
 
 
-def url_pattern_candidates(url, substitutions):
-    """Optional generator: mirror a URL through path-fragment substitutions.
-
-    ``http://x.org/en/program.html`` with ("/en/", "/fr/") yields the pair
-    with ``http://x.org/fr/program.html``.  Substitutions apply to the
-    path component (the whole string for plain file paths).
-    """
-    out = []
-    if "://" in url:
-        parts = urllib.parse.urlsplit(url)
-        path = parts.path
-        rebuild = lambda p: urllib.parse.urlunsplit(parts._replace(path=p))
-    else:
-        path = url
-        rebuild = lambda p: p
-    for frm, to in substitutions:
-        if frm and frm in path:
-            mirrored = rebuild(path.replace(frm, to))
-            if mirrored != url:
-                out.append(CandidatePair(url, mirrored))
-    return out
-
-
-class LocalFileBackend:
-    """Search backend reading hub locators from a local file.
+def read_hub_list(path, max_hits):
+    """The first ``max_hits`` hub locators of a prepared list.
 
     One locator per line; blank lines and ``#`` comments are skipped.  The
-    query is accepted and ignored, since the hub list was retrieved ahead
-    of time.
+    list stands in for the anchor search (see ``build_query``), whose
+    engine no longer exists.
     """
-
-    def __init__(self, path):
-        self.path = path
-
-    def search(self, query, max_hits=200):
-        hits = []
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                hits.append(line)
-                if len(hits) >= max_hits:
-                    break
-        return hits
-
-
-class HttpSearchBackend:
-    """Search backend calling an HTTP endpoint via a URL template.
-
-    The template must contain ``{query}``; the endpoint is expected to
-    answer with hub locators, one per line.
-    """
-
-    def __init__(self, url_template, timeout=30.0):
-        if "{query}" not in url_template:
-            raise ValueError("url_template must contain {query}")
-        self.url_template = url_template
-        self.timeout = timeout
-
-    def search(self, query, max_hits=200):
-        url = self.url_template.format(query=urllib.parse.quote_plus(query))
-        with urllib.request.urlopen(url, timeout=self.timeout) as resp:
-            body = resp.read()
-        lines = decode_html(body).splitlines()
-        hits = [ln.strip() for ln in lines if ln.strip()]
-        return hits[:max_hits]
+    with open(path, encoding="utf-8") as fh:
+        lines = (line.strip() for line in fh)
+        hubs = (line for line in lines if line and not line.startswith("#"))
+        return list(itertools.islice(hubs, max_hits))

@@ -2,9 +2,11 @@
 
 Subcommands mirror the pipeline stages so each one is usable on its own:
 ``query``, ``generate``, ``fetch``, ``linearize``, ``align``, ``evaluate``,
-``langid``, ``run``, and ``score``.  Threshold flags default to the frozen
-values the method was evaluated with (K=0.20, p<0.05, 10-line anchor
-distance, 3 pair minimum, language filter off).
+``langid``, ``run``, and ``score``.  Each subcommand takes only the flags
+it reads.  Threshold flags default to the fields of ``EvaluatorConfig``,
+``GeneratorConfig`` and ``FetchPolicy``: the frozen values the method was
+evaluated with (K=0.20, p<0.05, 10-line anchor distance, 3 pair minimum).
+The language filter is off unless ``--langid-filter`` is given.
 """
 
 from __future__ import annotations
@@ -17,28 +19,47 @@ import tempfile
 
 from . import __version__
 from .align import GAP_LEFT, GAP_RIGHT, MATCH, align, mismatch_ratio
-from .candidates import (GeneratorConfig, LocalFileBackend, build_query,
-                         extract_candidates)
+from .candidates import GeneratorConfig, build_query, read_hub_list
 from .evaluate import EvaluatorConfig, evaluate_pair
 from .fetch import FetchPolicy, Fetcher, PageCache
 from .langid import NgramModel, classify, train
 from .linearize import linearize, render_token
-from .pipeline import (PipelineConfig, read_candidates_tsv, read_hub,
-                       run_pipeline, score_report_files, write_candidates_tsv)
+from .pipeline import (PipelineConfig, candidates_tsv, generate_candidates,
+                       read_candidates_tsv, run_pipeline, score_report_files,
+                       write_candidates_tsv)
 
 
-def _add_common(parser):
-    parser.add_argument("--k", type=float, default=0.20,
-                        help="mismatch-ratio threshold (default 0.20)")
-    parser.add_argument("--p-threshold", type=float, default=0.05,
-                        help="significance level (default 0.05)")
-    parser.add_argument("--max-line-distance", type=int, default=10,
-                        help="max anchor distance in hub source lines (default 10)")
-    parser.add_argument("--min-pairs", type=int, default=3,
-                        help="minimum aligned unequal chunk pairs (default 3)")
-    parser.add_argument("--langid-filter", action="store_true",
-                        help="enable the language-identification filter")
-    parser.add_argument("--cache", default=None, help="page cache directory")
+def _add_thresholds(parser):
+    parser.add_argument("--k", type=float, default=EvaluatorConfig.k,
+                        help="mismatch-ratio threshold (default %(default)s)")
+    parser.add_argument("--p-threshold", type=float,
+                        default=EvaluatorConfig.p_threshold,
+                        help="significance level (default %(default)s)")
+    parser.add_argument("--min-pairs", type=int,
+                        default=EvaluatorConfig.min_pairs,
+                        help="minimum aligned unequal chunk pairs "
+                             "(default %(default)s)")
+
+
+def _add_hub_flags(parser):
+    parser.add_argument("--lang1", required=True, help="comma-separated names")
+    parser.add_argument("--lang2", required=True, help="comma-separated names")
+    parser.add_argument("--hubs", required=True,
+                        help="file of hub locators, one per line")
+    parser.add_argument("--max-hits", type=int,
+                        default=GeneratorConfig.max_hits,
+                        help="hubs read from the list (default %(default)s)")
+    parser.add_argument("--max-line-distance", type=int,
+                        default=GeneratorConfig.max_line_distance,
+                        help="max anchor distance in hub source lines "
+                             "(default %(default)s)")
+
+
+def _add_fetch_flags(parser):
+    parser.add_argument("--min-interval", type=float,
+                        default=FetchPolicy.min_interval,
+                        help="per-host politeness interval, seconds "
+                             "(default %(default)s)")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="parallel workers (default: CPU count)")
 
@@ -120,28 +141,16 @@ def cmd_evaluate(args):
 
 def cmd_generate(args):
     cfg = _generator_config(args)
-    backend = LocalFileBackend(args.hubs)
-    hubs = backend.search(build_query(sorted(cfg.lang1_names)[0],
-                                      sorted(cfg.lang2_names)[0]),
-                          max_hits=cfg.max_hits)
-    pairs = []
+    hubs = read_hub_list(args.hubs, cfg.max_hits)
     with tempfile.TemporaryDirectory() as tmp:
         fetcher = Fetcher(PageCache(args.cache or tmp), FetchPolicy())
-        for hub in hubs:
-            try:
-                source, charset = read_hub(fetcher, hub)
-            except OSError as err:
-                print(err, file=sys.stderr)
-                continue
-            pairs.extend(extract_candidates(source, hub, cfg,
-                                            encoding=charset))
-    unique = list({(p.url1, p.url2): p for p in pairs}.values())
+        pairs, _, hub_errors = generate_candidates(fetcher, hubs, cfg)
+    for error in hub_errors:
+        print(error["error"], file=sys.stderr)
     if args.out:
-        write_candidates_tsv(unique, args.out)
+        write_candidates_tsv(pairs, args.out)
     else:
-        for p in unique:
-            dist = "" if p.line_distance is None else str(p.line_distance)
-            print("%s\t%s\t%s\t%s" % (p.url1, p.url2, p.source_hub, dist))
+        sys.stdout.write(candidates_tsv(pairs))
     return 0
 
 
@@ -199,11 +208,8 @@ def cmd_run(args):
         expected_langs=tuple(args.expected_langs.split(","))
         if args.expected_langs else None,
         jobs=args.jobs)
-    hubs = LocalFileBackend(args.hubs).search(
-        build_query(sorted(cfg.generator.lang1_names)[0],
-                    sorted(cfg.generator.lang2_names)[0]),
-        max_hits=cfg.generator.max_hits)
-    manifest = run_pipeline(cfg, hubs)
+    manifest = run_pipeline(cfg, read_hub_list(args.hubs,
+                                               cfg.generator.max_hits))
     counts = manifest["counts"]
     for key in ("generated", "identical", "unretrievable", "non_html",
                 "evaluated", "accepted", "rejected", "language_filtered"):
@@ -246,24 +252,22 @@ def build_parser():
     p = sub.add_parser("evaluate", help="decide whether two pages are translations")
     p.add_argument("file1")
     p.add_argument("file2")
-    _add_common(p)
+    _add_thresholds(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("generate", help="extract candidate pairs from hub pages")
-    p.add_argument("--lang1", required=True, help="comma-separated names")
-    p.add_argument("--lang2", required=True, help="comma-separated names")
-    p.add_argument("--hubs", required=True, help="file of hub locators")
-    p.add_argument("--max-hits", type=int, default=200)
+    _add_hub_flags(p)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    p.add_argument("--cache", default=None,
+                   help="cache directory for hubs fetched over HTTP")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("fetch", help="retrieve candidate pages into the cache")
     p.add_argument("--pairs", required=True, help="candidates TSV")
-    p.add_argument("--min-interval", type=float, default=1.0,
-                   help="per-host politeness interval, seconds")
     p.add_argument("--out", default=None)
-    _add_common(p)
+    p.add_argument("--cache", default=None,
+                   help="page cache directory (default webbitext_cache)")
+    _add_fetch_flags(p)
     p.set_defaults(func=cmd_fetch)
 
     p = sub.add_parser("langid", help="train or apply language models")
@@ -281,15 +285,16 @@ def build_parser():
     pc.set_defaults(func=cmd_langid_classify)
 
     p = sub.add_parser("run", help="run the whole pipeline over a hub list")
-    p.add_argument("--lang1", required=True)
-    p.add_argument("--lang2", required=True)
-    p.add_argument("--hubs", required=True)
+    _add_hub_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-hits", type=int, default=200)
-    p.add_argument("--min-interval", type=float, default=1.0)
+    p.add_argument("--cache", default=None,
+                   help="page cache directory (default OUT/cache)")
+    _add_fetch_flags(p)
+    _add_thresholds(p)
+    p.add_argument("--langid-filter", action="store_true",
+                   help="enable the language-identification filter")
     p.add_argument("--langid-models", default=None)
     p.add_argument("--expected-langs", default=None, help="e.g. en,es")
-    _add_common(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("score", help="precision/recall against gold labels")

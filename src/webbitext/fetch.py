@@ -347,21 +347,3 @@ class Fetcher:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = pool.map(self.fetch, unique)
         return dict(zip(unique, results))
-
-
-def dedup_identical(pairs, results):
-    """Drop exact duplicate pair entries and pairs of byte-identical pages."""
-    out = []
-    seen = set()
-    for pair in pairs:
-        key = (pair.url1, pair.url2)
-        if key in seen:
-            continue
-        seen.add(key)
-        r1 = results.get(pair.url1)
-        r2 = results.get(pair.url2)
-        if (r1 is not None and r2 is not None
-                and r1.digest and r2.digest and r1.digest == r2.digest):
-            continue
-        out.append(pair)
-    return out

@@ -153,8 +153,3 @@ def linearize(data, source_id="", encoding=None):
             tokens.append(end_token(ev.name, ev.offset))
     flush()
     return LinearDocument(tokens, source_id=source_id)
-
-
-def chunk_texts(doc):
-    """(offset, text) for every Chunk token, in document order."""
-    return [(t.offset, t.text) for t in doc.tokens if t.is_chunk()]

@@ -1,6 +1,8 @@
-"""End-to-end orchestration: generate, fetch, dedup, evaluate, filter.
+"""End-to-end orchestration: generate, fetch, triage, evaluate, filter, write.
 
-Stages write plain files under one output directory:
+``run_pipeline`` is a short sequence of stage calls, and the CLI's
+``generate`` and ``fetch`` subcommands call the same stages.  Stages
+write plain files under one output directory:
 
   candidates.tsv   url1 <TAB> url2 <TAB> source_hub <TAB> line_distance
   reports.jsonl    one JSON record per candidate pair, every disposition
@@ -11,10 +13,12 @@ Stages write plain files under one output directory:
                    manifests)
 
 Dispositions conserve: generated = identical + unretrievable + non_html
-+ evaluated, and evaluated = accepted + rejected (+ language_filtered
-when the optional language filter is enabled; it is off by default).
-Gold labels are a two-column TSV of pair id and 0/1, where a pair id is
-the two locators joined by a single space.
++ evaluated + errors, and evaluated = accepted + rejected (+
+language_filtered when the optional language filter is enabled; it is
+off by default).  A pair listed twice, by one hub or several, is
+generated once, from its first listing.  Gold labels are a two-column
+TSV of pair id and 0/1, where a pair id is the two locators joined by a
+single space.
 """
 
 from __future__ import annotations
@@ -23,11 +27,14 @@ import itertools
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .candidates import GeneratorConfig, extract_candidates
+from .candidates import CandidatePair, GeneratorConfig, extract_candidates
 from .evaluate import EvaluatorConfig, evaluate_pair
-from .fetch import FetchPolicy, Fetcher, PageCache, is_local, local_path
+from .fetch import (STATUS_EMPTY, STATUS_NON_HTML, STATUS_NOT_FOUND,
+                    STATUS_ROBOTS_DENIED, STATUS_UNREACHABLE, FetchPolicy,
+                    Fetcher, PageCache, is_local, local_path)
 from .langid import NgramModel, language_filter
 from .linearize import linearize
 
@@ -39,7 +46,8 @@ DISP_REJECTED = "rejected"
 DISP_LANG_FILTERED = "language_filtered"
 DISP_ERROR = "error"
 
-_HARD_FAILURES = {"not_found", "empty", "unreachable", "robots_denied"}
+_HARD_FAILURES = {STATUS_NOT_FOUND, STATUS_EMPTY, STATUS_UNREACHABLE,
+                  STATUS_ROBOTS_DENIED}
 
 
 @dataclass
@@ -84,10 +92,6 @@ class ScoreSummary:
 
     def to_dict(self):
         return dict(self.__dict__)
-
-
-def pair_id(url1, url2):
-    return "%s %s" % (url1, url2)
 
 
 def score(records, gold):
@@ -154,17 +158,18 @@ def write_segments(report, path):
     _write_atomic(path, "".join(line + "\n" for line in lines))
 
 
+def candidates_tsv(pairs):
+    """The candidates.tsv text: url1, url2, source hub, line distance."""
+    return "".join("%s\t%s\t%s\t%s\n" % (
+        p.url1, p.url2, p.source_hub,
+        "" if p.line_distance is None else p.line_distance) for p in pairs)
+
+
 def write_candidates_tsv(pairs, path):
-    lines = []
-    for p in pairs:
-        dist = "" if p.line_distance is None else str(p.line_distance)
-        lines.append("%s\t%s\t%s\t%s" % (p.url1, p.url2, p.source_hub, dist))
-    _write_atomic(path, "".join(line + "\n" for line in lines))
+    _write_atomic(path, candidates_tsv(pairs))
 
 
 def read_candidates_tsv(path):
-    from .candidates import CandidatePair
-
     pairs = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -272,19 +277,16 @@ def check_conservation(counts):
                                 % (counts["evaluated"], verdicts))
 
 
-def run_pipeline(cfg, hubs):
-    """Run the full pipeline over a list of hub locators.
+def generate_candidates(fetcher, hubs, generator):
+    """Candidate pairs from every hub, each (url1, url2) once.
 
-    Returns the manifest dict; all stage outputs land under cfg.out_dir.
+    The first listing of a pair wins, so its source hub and line distance
+    are those of the earliest hub that lists it.  Returns (pairs, number
+    of listings before the dedup, hub errors); a hub that cannot be read
+    is a {"hub", "error"} entry, not a failure.
     """
-    out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    started_at = time.time()
-    cache = PageCache(cfg.cache_dir or os.path.join(out_dir, "cache"))
-    fetcher = Fetcher(cache, cfg.fetch)
-
-    # Stage 1: candidate generation.
-    candidates_raw = []
+    pairs = {}
+    listed = 0
     hub_errors = []
     for hub in hubs:
         try:
@@ -292,74 +294,71 @@ def run_pipeline(cfg, hubs):
         except Exception as err:
             hub_errors.append({"hub": hub, "error": str(err)})
             continue
-        candidates_raw.extend(extract_candidates(source, hub, cfg.generator,
-                                                 encoding=charset))
-    seen = set()
-    generated = []
-    for pair in candidates_raw:
-        key = (pair.url1, pair.url2)
-        if key in seen:
-            continue
-        seen.add(key)
-        generated.append(pair)
-    duplicate_entries = len(candidates_raw) - len(generated)
-    write_candidates_tsv(generated, os.path.join(out_dir, "candidates.tsv"))
+        found = extract_candidates(source, hub, generator, encoding=charset)
+        listed += len(found)
+        for pair in found:
+            pairs.setdefault((pair.url1, pair.url2), pair)
+    return list(pairs.values()), listed, hub_errors
 
-    # Stage 2: retrieval.
-    urls = [u for pair in generated for u in (pair.url1, pair.url2)]
-    results = fetcher.fetch_many(urls, cfg.jobs)
 
-    # Stage 3: dedup identical pages, sort out failures, evaluate the rest.
-    records = []
-    to_evaluate = []  # record index per pair sent to evaluation
-    lefts = []
-    rights = []
-    for idx, pair in enumerate(generated):
-        r1 = results[pair.url1]
-        r2 = results[pair.url2]
-        record = {
-            "pair_id": pair.key(),
-            "url1": pair.url1,
-            "url2": pair.url2,
-            "source_hub": pair.source_hub,
-            "line_distance": pair.line_distance,
-            "fetch_status_1": r1.status,
-            "fetch_status_2": r2.status,
-            "disposition": None,
-            "reject_reason": None,
-            "mismatch_ratio": None,
-            "r": None,
-            "n": None,
-            "p": None,
-            "segments_file": None,
-        }
-        records.append(record)
-        if r1.status in _HARD_FAILURES or r2.status in _HARD_FAILURES:
-            record["disposition"] = DISP_UNRETRIEVABLE
-        elif r1.status == "non_html" or r2.status == "non_html":
-            record["disposition"] = DISP_NON_HTML
-        elif r1.digest == r2.digest:
-            record["disposition"] = DISP_IDENTICAL
-        else:
-            to_evaluate.append(idx)
-            lefts.append((pair.url1, r1.cache_path, r1.charset))
-            rights.append((pair.url2, r2.cache_path, r2.charset))
-    outcomes = _evaluate_all(lefts, rights, cfg.evaluator, cfg.jobs)
+def triage(pair, results):
+    """The report record of one pair, with what fetching alone decides.
 
-    # Stage 4: optional language-dependent filtering.
+    The disposition is unretrievable, non_html or identical, or None when
+    both pages arrived as different HTML bodies, which leaves the pair to
+    evaluation.
+    """
+    r1, r2 = results[pair.url1], results[pair.url2]
+    statuses = {r1.status, r2.status}
+    if statuses & _HARD_FAILURES:
+        disposition = DISP_UNRETRIEVABLE
+    elif STATUS_NON_HTML in statuses:
+        disposition = DISP_NON_HTML
+    elif r1.digest == r2.digest:
+        disposition = DISP_IDENTICAL
+    else:
+        disposition = None
+    return {
+        "pair_id": pair.key(),
+        "url1": pair.url1,
+        "url2": pair.url2,
+        "source_hub": pair.source_hub,
+        "line_distance": pair.line_distance,
+        "fetch_status_1": r1.status,
+        "fetch_status_2": r2.status,
+        "disposition": disposition,
+        "reject_reason": None,
+        "mismatch_ratio": None,
+        "r": None,
+        "n": None,
+        "p": None,
+        "segments_file": None,
+    }
+
+
+def evaluate_records(records, results, cfg):
+    """Evaluate, then language-filter, every record triage left open.
+
+    Fills in each one's disposition, margins and segment file name, and
+    returns {segment file name: report} for the accepted pairs.
+    """
+    def side(url):
+        return url, results[url].cache_path, results[url].charset
+
+    open_idx = [i for i, rec in enumerate(records) if rec["disposition"] is None]
+    outcomes = _evaluate_all([side(records[i]["url1"]) for i in open_idx],
+                             [side(records[i]["url2"]) for i in open_idx],
+                             cfg.evaluator, cfg.jobs)
     models = None
     if cfg.langid_filter:
         models = [NgramModel.load(p) for p in cfg.langid_model_paths]
 
-    segments_dir = os.path.join(out_dir, "segments")
-    pair_errors = []
-    seg_counter = 0
-    for idx, (report, error) in zip(to_evaluate, outcomes):
+    segments = {}
+    for idx, (report, error) in zip(open_idx, outcomes):
         record = records[idx]
         if error is not None:
             record["disposition"] = DISP_ERROR
             record["reject_reason"] = error
-            pair_errors.append({"pair_id": record["pair_id"], "error": error})
             continue
         record["mismatch_ratio"] = report.mismatch_ratio
         record["reject_reason"] = report.reject_reason
@@ -369,71 +368,80 @@ def run_pipeline(cfg, hubs):
             record["p"] = report.correlation.p
         if not report.accepted:
             record["disposition"] = DISP_REJECTED
-            continue
-        if models is not None:
-            left_text = " ".join(s.left_text for s in report.segments)
-            right_text = " ".join(s.right_text for s in report.segments)
-            if not language_filter(report, left_text, right_text,
-                                   cfg.expected_langs, models):
-                record["disposition"] = DISP_LANG_FILTERED
-                continue
-        record["disposition"] = DISP_ACCEPTED
-        seg_counter += 1
-        seg_name = "pair%04d.tsv" % idx
-        write_segments(report, os.path.join(segments_dir, seg_name))
-        record["segments_file"] = "segments/" + seg_name
+        elif models is not None and not language_filter(
+                report, " ".join(s.left_text for s in report.segments),
+                " ".join(s.right_text for s in report.segments),
+                cfg.expected_langs, models):
+            record["disposition"] = DISP_LANG_FILTERED
+        else:
+            record["disposition"] = DISP_ACCEPTED
+            record["segments_file"] = "segments/pair%04d.tsv" % idx
+            segments[record["segments_file"]] = report
+    return segments
 
-    counts = {
-        "candidates_raw": len(candidates_raw),
-        "duplicate_entries": duplicate_entries,
-        "generated": len(generated),
-        "identical": 0,
-        "unretrievable": 0,
-        "non_html": 0,
-        "evaluated": 0,
-        "accepted": 0,
-        "rejected": 0,
-        "language_filtered": 0,
-        "errors": len(pair_errors),
+
+def count_dispositions(records, listed, hub_errors):
+    """The manifest counts, tallied from the records' dispositions."""
+    tally = Counter(record["disposition"] for record in records)
+    return {
+        "candidates_raw": listed,
+        "duplicate_entries": listed - len(records),
+        "generated": len(records),
+        "identical": tally[DISP_IDENTICAL],
+        "unretrievable": tally[DISP_UNRETRIEVABLE],
+        "non_html": tally[DISP_NON_HTML],
+        "evaluated": (tally[DISP_ACCEPTED] + tally[DISP_REJECTED]
+                      + tally[DISP_LANG_FILTERED]),
+        "accepted": tally[DISP_ACCEPTED],
+        "rejected": tally[DISP_REJECTED],
+        "language_filtered": tally[DISP_LANG_FILTERED],
+        "errors": tally[DISP_ERROR],
         "hub_errors": len(hub_errors),
-        "segment_files": seg_counter,
+        "segment_files": tally[DISP_ACCEPTED],
     }
-    for record in records:
-        disp = record["disposition"]
-        if disp == DISP_IDENTICAL:
-            counts["identical"] += 1
-        elif disp == DISP_UNRETRIEVABLE:
-            counts["unretrievable"] += 1
-        elif disp == DISP_NON_HTML:
-            counts["non_html"] += 1
-        elif disp == DISP_ACCEPTED:
-            counts["evaluated"] += 1
-            counts["accepted"] += 1
-        elif disp == DISP_REJECTED:
-            counts["evaluated"] += 1
-            counts["rejected"] += 1
-        elif disp == DISP_LANG_FILTERED:
-            counts["evaluated"] += 1
-            counts["language_filtered"] += 1
 
-    check_conservation(counts)
 
-    manifest = {
-        "config": _config_echo(cfg),
-        "counts": counts,
-        "hub_errors": hub_errors,
-        "pair_errors": pair_errors,
-        "pairs": records,
-    }
+def write_outputs(out_dir, manifest, segments, started_at):
+    """Segment files, reports.jsonl, manifest.json and run_info.json."""
+    for name, report in segments.items():
+        write_segments(report, os.path.join(out_dir, name))
     _write_atomic(os.path.join(out_dir, "reports.jsonl"),
                   "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n"
-                          for r in records))
+                          for r in manifest["pairs"]))
     _write_atomic(os.path.join(out_dir, "manifest.json"),
                   json.dumps(manifest, indent=2, sort_keys=True,
                              ensure_ascii=False) + "\n")
     _write_atomic(os.path.join(out_dir, "run_info.json"),
                   json.dumps({"started_at": started_at,
                               "finished_at": time.time()}, indent=2) + "\n")
+
+
+def run_pipeline(cfg, hubs):
+    """Run the full pipeline over a list of hub locators.
+
+    Returns the manifest dict; all stage outputs land under cfg.out_dir.
+    """
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    started_at = time.time()
+    cache = PageCache(cfg.cache_dir or os.path.join(cfg.out_dir, "cache"))
+    fetcher = Fetcher(cache, cfg.fetch)
+    pairs, listed, hub_errors = generate_candidates(fetcher, hubs, cfg.generator)
+    write_candidates_tsv(pairs, os.path.join(cfg.out_dir, "candidates.tsv"))
+    results = fetcher.fetch_many([u for p in pairs for u in (p.url1, p.url2)],
+                                 cfg.jobs)
+    records = [triage(pair, results) for pair in pairs]
+    segments = evaluate_records(records, results, cfg)
+    counts = count_dispositions(records, listed, hub_errors)
+    check_conservation(counts)
+    manifest = {
+        "config": _config_echo(cfg),
+        "counts": counts,
+        "hub_errors": hub_errors,
+        "pair_errors": [{"pair_id": r["pair_id"], "error": r["reject_reason"]}
+                        for r in records if r["disposition"] == DISP_ERROR],
+        "pairs": records,
+    }
+    write_outputs(cfg.out_dir, manifest, segments, started_at)
     return manifest
 
 

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from webbitext import (Anchor, GeneratorConfig, LocalFileBackend,
+from webbitext import (Anchor, Fetcher, GeneratorConfig, PageCache,
                        anchor_matches, build_query, extract_candidates,
-                       parse_anchors, url_pattern_candidates)
+                       parse_anchors, read_hub_list)
+from webbitext.pipeline import generate_candidates
 
 
 def cfg(max_line_distance=10, lang1=("english",), lang2=("spanish", "español")):
@@ -98,17 +99,23 @@ def test_two_firsts_one_second_gives_cross_product():
     }
 
 
-def test_duplicate_urls_collapse_and_self_pairing_is_skipped():
+def test_duplicate_urls_collapse_and_self_pairing_is_skipped(tmp_path):
     html = ('<A HREF="/same.html">English</A>\n'
             '<A HREF="/same.html">English</A>\n'
             '<A HREF="/es.html">Spanish</A>\n'
             '<A HREF="/both.html">English and Spanish</A>\n')
-    pairs = extract_candidates(html, "http://h/x.html", cfg())
+    hub = tmp_path / "x.html"
+    hub.write_text(html, encoding="utf-8")
+    fetcher = Fetcher(PageCache(str(tmp_path / "cache")))
+    pairs, listed, _ = generate_candidates(fetcher, [str(hub)], cfg())
     keys = {(p.url1, p.url2) for p in pairs}
     # the bilingual anchor may pair with others but never with itself
-    assert ("http://h/both.html", "http://h/both.html") not in keys
-    assert ("http://h/same.html", "http://h/es.html") in keys
-    assert len(pairs) == len(keys)
+    assert ("/both.html", "/both.html") not in keys
+    assert ("/same.html", "/es.html") in keys
+    assert len(pairs) == len(keys) < listed
+    # a pair linked twice is generated once, from its first listing
+    assert [p.line_distance for p in pairs
+            if (p.url1, p.url2) == ("/same.html", "/es.html")] == [2]
 
 
 def test_relative_href_resolution_with_dotdot():
@@ -126,43 +133,13 @@ def test_unparseable_hub_is_empty_not_fatal():
     assert extract_candidates("", "h", cfg()) == []
 
 
-def test_url_pattern_candidates():
-    pairs = url_pattern_candidates("http://x.org/en/program.html",
-                                   [("/en/", "/fr/")])
-    assert len(pairs) == 1
-    assert pairs[0].url2 == "http://x.org/fr/program.html"
-    assert url_pattern_candidates("http://x.org/program.html",
-                                  [("/en/", "/fr/")]) == []
-    pairs = url_pattern_candidates("http://x.org/index-e.html",
-                                   [("-e.", "-s.")])
-    assert pairs[0].url2 == "http://x.org/index-s.html"
-    # the substitution applies to the path, never the host
-    pairs = url_pattern_candidates("http://en.example.org/page.html",
-                                   [("en", "fr")])
-    assert pairs == []
-
-
-def test_http_search_backend(stub_server):
-    from webbitext import HttpSearchBackend
-
-    stub_server.add_page("/search", "http://hub.example/a.html\n"
-                                    "http://hub.example/b.html\n\n",
-                         "text/plain")
-    backend = HttpSearchBackend(stub_server.base_url + "/search?q={query}")
-    hits = backend.search(build_query("english", "spanish"), max_hits=1)
-    assert hits == ["http://hub.example/a.html"]
-    assert backend.search("x") == ["http://hub.example/a.html",
-                                   "http://hub.example/b.html"]
-    with pytest.raises(ValueError):
-        HttpSearchBackend("http://no-placeholder.example/")
-
-
 def test_local_file_backend(tmp_path):
     hub_list = tmp_path / "hubs.txt"
     hub_list.write_text("# comment\n/a.html\n\n/b.html\n/c.html\n")
-    backend = LocalFileBackend(str(hub_list))
-    assert backend.search("ignored", max_hits=2) == ["/a.html", "/b.html"]
-    assert backend.search("ignored") == ["/a.html", "/b.html", "/c.html"]
+    assert read_hub_list(str(hub_list), 2) == ["/a.html", "/b.html"]
+    assert read_hub_list(str(hub_list), 200) == ["/a.html", "/b.html",
+                                                 "/c.html"]
+    assert read_hub_list(str(hub_list), 0) == []
 
 
 def test_generator_config_validation():

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from webbitext.cli import main
+from webbitext import EvaluatorConfig, FetchPolicy, GeneratorConfig
+from webbitext.cli import build_parser, main
 
 from conftest import serve_shift_jis_hub, text_with_length
 
@@ -97,6 +98,63 @@ def test_generate_decodes_hub_with_header_charset(capsys, stub_server,
     out = capsys.readouterr().out.strip().split("\t")
     assert out[:2] == [stub_server.base_url + "/en.html",
                        stub_server.base_url + "/ja.html"]
+
+
+def test_generate_and_run_keep_the_first_listing_of_a_pair(tmp_path):
+    # Two hubs list the same pair, 1 line apart in the first, 4 in the second.
+    hub1 = tmp_path / "hub1.html"
+    hub1.write_text('<A HREF="en.html">English</A>\n'
+                    '<A HREF="es.html">Spanish</A>\n', encoding="utf-8")
+    hub2 = tmp_path / "hub2.html"
+    hub2.write_text('<A HREF="en.html">English</A>\n\n\n\n'
+                    '<A HREF="es.html">Spanish</A>\n', encoding="utf-8")
+    hubs = tmp_path / "hubs.txt"
+    hubs.write_text("%s\n%s\n" % (hub1, hub2), encoding="utf-8")
+    common = ["--lang1", "english", "--lang2", "spanish", "--hubs", str(hubs)]
+    assert main(["generate", *common, "--out", str(tmp_path / "gen.tsv")]) == 0
+    assert main(["run", *common, "--out", str(tmp_path / "out"),
+                 "--jobs", "1"]) == 0
+    generated = (tmp_path / "gen.tsv").read_bytes()
+    assert generated == (tmp_path / "out" / "candidates.tsv").read_bytes()
+    assert generated.decode("utf-8") == "%s\t%s\t%s\t1\n" % (
+        tmp_path / "en.html", tmp_path / "es.html", hub1)
+
+
+_EVALUATOR = EvaluatorConfig()
+_GENERATOR = GeneratorConfig(frozenset({"en"}), frozenset({"es"}))
+_THRESHOLDS = {"k": _EVALUATOR.k, "p_threshold": _EVALUATOR.p_threshold,
+               "min_pairs": _EVALUATOR.min_pairs}
+_HUB_FLAGS = {"max_hits": _GENERATOR.max_hits,
+              "max_line_distance": _GENERATOR.max_line_distance}
+_FETCH_FLAGS = {"min_interval": FetchPolicy().min_interval}
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    pytest.param(["evaluate", "a.html", "b.html"], _THRESHOLDS, id="evaluate"),
+    pytest.param(["generate", "--lang1", "en", "--lang2", "es", "--hubs", "h"],
+                 _HUB_FLAGS, id="generate"),
+    pytest.param(["fetch", "--pairs", "p.tsv"], _FETCH_FLAGS, id="fetch"),
+    pytest.param(["run", "--lang1", "en", "--lang2", "es", "--hubs", "h",
+                  "--out", "o"], dict(_THRESHOLDS, **_HUB_FLAGS, **_FETCH_FLAGS),
+                 id="run"),
+])
+def test_flag_defaults_are_the_config_defaults(argv, defaults):
+    args = build_parser().parse_args(argv)
+    assert {name: getattr(args, name) for name in defaults} == defaults
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "a.html", "b.html", "--langid-filter"],
+    ["evaluate", "a.html", "b.html", "--jobs", "2"],
+    ["generate", "--lang1", "en", "--lang2", "es", "--hubs", "h", "--k", "0.3"],
+    ["fetch", "--pairs", "p.tsv", "--max-line-distance", "3"],
+], ids=["evaluate-langid-filter", "evaluate-jobs", "generate-k",
+        "fetch-max-line-distance"])
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_langid_train_and_classify(capsys, tmp_path):

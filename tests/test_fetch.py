@@ -3,8 +3,7 @@
 import json
 import socket
 
-from webbitext import (CandidatePair, FetchPolicy, Fetcher, PageCache,
-                       dedup_identical, linearize)
+from webbitext import FetchPolicy, Fetcher, PageCache, linearize
 from webbitext.fetch import (STATUS_EMPTY, STATUS_MOVED, STATUS_NON_HTML,
                              STATUS_NOT_FOUND, STATUS_OK,
                              STATUS_ROBOTS_DENIED, STATUS_UNREACHABLE,
@@ -166,26 +165,6 @@ def test_local_file_fetch(tmp_path):
     assert fetcher.fetch(str(empty)).status == STATUS_EMPTY
     assert fetcher.fetch(str(pdf)).status == STATUS_NON_HTML
     assert fetcher.fetch("file://" + str(page)).status == STATUS_OK
-
-
-def test_dedup_identical_pairs(tmp_path):
-    a = tmp_path / "a.html"
-    b = tmp_path / "b.html"
-    c = tmp_path / "c.html"
-    a.write_text(HTML_BODY)
-    b.write_text(HTML_BODY)          # byte-identical copy
-    c.write_text(HTML_BODY + "  !")  # different
-    fetcher = make_fetcher(tmp_path)
-    urls = [str(a), str(b), str(c)]
-    results = {u: fetcher.fetch(u) for u in urls}
-    pairs = [
-        CandidatePair(str(a), str(b)),   # identical content: dropped
-        CandidatePair(str(a), str(c)),   # kept
-        CandidatePair(str(a), str(c)),   # exact duplicate entry: dropped
-        CandidatePair(str(a), str(a)),   # same locator twice: dropped
-    ]
-    kept = dedup_identical(pairs, results)
-    assert [(p.url1, p.url2) for p in kept] == [(str(a), str(c))]
 
 
 def test_cache_survives_restart(tmp_path):

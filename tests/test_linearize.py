@@ -5,7 +5,7 @@ from html.parser import HTMLParser
 
 from hypothesis import given, strategies as st
 
-from webbitext import chunk_texts, linearize, render_token
+from webbitext import linearize, render_token
 from webbitext.linearize import (KIND_CHUNK, KIND_END, KIND_START,
                                  chunk_token, decode_html)
 
@@ -69,15 +69,17 @@ def test_nested_inline_markup_splits_chunks():
     assert oracle_nonws_text("<P>ab<I>cd</I>ef</P>") == "abcdef"
 
 
-def test_chunk_texts_offsets_and_order():
-    assert chunk_texts(linearize("<P>ab</P>")) == [(3, "ab")]
-    assert chunk_texts(linearize("<B></B>")) == []
+def test_chunk_tokens_keep_offsets_and_order():
+    doc = linearize("<P>ab</P>")
+    assert [(t.offset, t.text) for t in doc.tokens if t.is_chunk()] == \
+        [(3, "ab")]
+    assert not any(t.is_chunk() for t in linearize("<B></B>").tokens)
 
 
-def test_chunk_texts_on_worked_example_fragment():
+def test_chunk_token_texts_on_worked_example_fragment():
     doc = linearize("<HTML><TITLE>Emergency Exit</TITLE><BODY>"
                     "<H1>Emergency Exit</H1>If seated at an exit and")
-    texts = [t for _, t in chunk_texts(doc)]
+    texts = [t.text for t in doc.tokens if t.is_chunk()]
     assert texts == ["Emergency Exit", "Emergency Exit",
                      "If seated at an exit and"]
 
@@ -225,7 +227,8 @@ def test_chunk_lengths_match_strip_tags_oracle(html):
 @given(_documents())
 def test_round_trip_text_recovery(html):
     doc = linearize(html)
-    ours = "".join(c for _, t in chunk_texts(doc) for c in t if not c.isspace())
+    ours = "".join(c for t in doc.tokens if t.is_chunk()
+                   for c in t.text if not c.isspace())
     assert ours == oracle_nonws_text(html)
 
 

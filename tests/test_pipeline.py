@@ -231,6 +231,33 @@ def test_unreadable_hub_is_recorded_not_fatal(tmp_path):
     assert manifest["hub_errors"][0]["hub"].endswith("no-such-hub.html")
 
 
+def test_identical_pages_and_repeated_pairs_are_not_evaluated(tmp_path):
+    body = "<HTML><BODY><P>hello from a page</P></BODY></HTML>"
+    a, b, c = (str(tmp_path / name) for name in ("a.html", "b.html", "c.html"))
+    for path, text in ((a, body), (b, body), (c, body + "  !")):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    listed = [(a, b),   # byte-identical copy
+              (a, c),   # evaluated
+              (a, c),   # the same pair again
+              (a, a)]   # one page twice
+    hub = tmp_path / "hub.html"
+    # Twelve lines between listings, so anchors pair only within one.
+    hub.write_text("".join('<A HREF="%s">English</A>\n<A HREF="%s">Spanish</A>'
+                           % pair + "\n" * 12 for pair in listed),
+                   encoding="utf-8")
+    cfg = PipelineConfig(
+        generator=GeneratorConfig(frozenset({"english"}), frozenset({"spanish"})),
+        out_dir=str(tmp_path / "out"), jobs=1)
+    manifest = run_pipeline(cfg, [str(hub)])
+    assert [(r["url1"], r["url2"], r["disposition"]) for r in manifest["pairs"]] \
+        == [(a, b, "identical"), (a, c, "rejected"), (a, a, "identical")]
+    counts = manifest["counts"]
+    assert (counts["candidates_raw"], counts["duplicate_entries"],
+            counts["generated"], counts["identical"], counts["evaluated"]) \
+        == (4, 1, 3, 2, 1)
+
+
 def test_empty_hub_list_gives_empty_manifest(tmp_path):
     cfg = PipelineConfig(
         generator=GeneratorConfig(frozenset({"english"}), frozenset({"spanish"})),
