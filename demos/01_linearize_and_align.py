@@ -7,7 +7,8 @@ structure.  Flatten each page into START/END/Chunk tokens and the shared
 markup lines up, leaving the translated text chunks paired by position.
 """
 
-from webbitext import align, chunk_pairs, linearize, mismatch_ratio
+from webbitext import (align, chunk_pairs, linearize, mismatch_ratio,
+                       render_token)
 from webbitext.cli import render_alignment
 
 english = """\
@@ -38,7 +39,8 @@ left = linearize(english, source_id="en")
 right = linearize(french, source_id="fr")
 
 print("English page linearizes to:")
-print(left.render())
+for tok in left.tokens:
+    print(render_token(tok))
 print()
 
 alignment = align(left, right)

@@ -22,9 +22,8 @@ from .fetch import FetchPolicy, FetchResult, Fetcher, PageCache
 from .langid import NgramModel, classify, language_filter, train
 from .linearize import (LinearDocument, Token, decode_html, linearize,
                         render_token)
-from .pipeline import (GoldLabel, PipelineConfig, ScoreSummary, load_gold,
-                       run_pipeline, score, score_report_files,
-                       write_segments)
+from .pipeline import (PipelineConfig, ScoreSummary, load_gold, run_pipeline,
+                       score, score_report_files, write_segments)
 from .stats import incomplete_beta, p_value, pearson_r, student_t_two_tailed
 
 __version__ = "0.1.0"
@@ -34,7 +33,7 @@ __all__ = [
     "AlignOp", "Alignment", "Anchor", "CandidatePair", "ChunkPair",
     "ChunkPairSet", "CorrelationResult", "EvaluationReport",
     "EvaluatorConfig", "FetchPolicy", "FetchResult", "Fetcher",
-    "GeneratorConfig", "GoldLabel", "LinearDocument", "NgramModel",
+    "GeneratorConfig", "LinearDocument", "NgramModel",
     "PageCache", "PipelineConfig",
     "ScoreSummary", "SegmentPair", "Token",
     "align", "aligned_chunks", "anchor_matches", "build_query",

@@ -74,12 +74,10 @@ class Alignment:
 
 @dataclass(frozen=True)
 class ChunkPair:
-    """Lengths and source offsets of one aligned unequal chunk pair."""
+    """Lengths of one aligned unequal chunk pair."""
 
     x: int
     y: int
-    left_offset: int = 0
-    right_offset: int = 0
 
 
 @dataclass
@@ -108,18 +106,16 @@ class ChunkPairSet:
 
 
 def _token_codes(tokens, tag_ids):
-    """Vector encodings: chunk mask, lengths, and tag identity codes."""
+    """Vector encodings: chunk lengths, and tag codes (-1 for a chunk)."""
     k = len(tokens)
-    is_chunk = np.zeros(k, dtype=bool)
     lengths = np.zeros(k, dtype=np.int64)
     tags = np.full(k, -1, dtype=np.int64)
     for idx, t in enumerate(tokens):
         if t.kind == KIND_CHUNK:
-            is_chunk[idx] = True
             lengths[idx] = t.length
         else:
             tags[idx] = tag_ids.setdefault((t.kind, t.label), len(tag_ids))
-    return is_chunk, lengths, tags
+    return lengths, tags
 
 
 def _sub_cost(lt, rt):
@@ -216,7 +212,7 @@ def align(left, right):
         return Alignment([], 0, 0, 0.0)
 
     tag_ids = {}
-    _, r_len, r_tag = _token_codes(rt, tag_ids)
+    r_len, r_tag = _token_codes(rt, tag_ids)
     delta = abs(m - n)
     # Computed and exact path costs differ by under (n + m + 1)^2 * 2^-48
     # (a few roundings of values below 4(n + m + 1) per step); this slack
@@ -296,7 +292,7 @@ def chunk_pairs(alignment, left, right):
             continue
         a = left.tokens[op.left_index]
         b = right.tokens[op.right_index]
-        out.append(ChunkPair(a.length, b.length, a.offset, b.offset))
+        out.append(ChunkPair(a.length, b.length))
     return ChunkPairSet(out)
 
 

@@ -151,7 +151,7 @@ def cmd_generate(args):
         write_candidates_tsv(pairs, args.out)
     else:
         sys.stdout.write(candidates_tsv(pairs))
-    return 0
+    return 1 if hub_errors else 0
 
 
 def cmd_fetch(args):

@@ -38,6 +38,8 @@ STATUS_ROBOTS_DENIED = "robots_denied"
 STATUS_NON_HTML = "non_html"
 
 _REDIRECT_CODES = {301, 302, 303, 307, 308}
+_MAX_REDIRECTS = 5
+_RETRIES = 1  # extra attempts after a request that raised
 
 
 @dataclass
@@ -45,9 +47,6 @@ class FetchPolicy:
     user_agent: str = "webbitext/0.1"
     timeout: float = 30.0
     min_interval: float = 1.0
-    max_redirects: int = 5
-    retries: int = 1
-    max_age: float | None = None  # cache entry lifetime; None = never expires
 
 
 @dataclass
@@ -87,6 +86,19 @@ def sniff_content_type(body):
     return "application/octet-stream"
 
 
+def write_atomic(path, data):
+    """Write ``data`` (bytes) to ``path`` through a temp file and a rename.
+
+    The temp file is named by process and thread, so concurrent writers of
+    one path never share it, and readers see the old file or the new one.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 def _charset_param(params):
     """The ``charset`` value among Content-Type parameters, or ""."""
     for param in params.split(";"):
@@ -122,16 +134,8 @@ class PageCache:
         digest = hashlib.sha256(body).hexdigest()
         path = self.body_path(digest)
         if not os.path.exists(path):
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
-            with open(tmp, "wb") as fh:
-                fh.write(body)
-            os.replace(tmp, path)
+            write_atomic(path, body)
         return digest, path
-
-    def body(self, digest):
-        with open(self.body_path(digest), "rb") as fh:
-            return fh.read()
 
     def record(self, result):
         entry = {
@@ -145,17 +149,13 @@ class PageCache:
         }
         with self._lock:
             self._index[result.url] = entry
-            tmp = self.index_path + ".tmp.%d" % os.getpid()
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(self._index, fh, sort_keys=True)
-            os.replace(tmp, self.index_path)
+            write_atomic(self.index_path,
+                         json.dumps(self._index, sort_keys=True).encode("utf-8"))
 
-    def lookup(self, url, max_age=None):
+    def lookup(self, url):
         with self._lock:
             entry = self._index.get(url)
         if entry is None:
-            return None
-        if max_age is not None and time.time() - entry["fetched_at"] > max_age:
             return None
         digest = entry["digest"]
         return FetchResult(
@@ -194,6 +194,9 @@ class Fetcher:
     def _polite_request(self, url):
         """One rate-limited HTTP request; returns (code, headers, body).
 
+        ``headers`` is the response's header message, whose lookups
+        ignore case.
+
         Requests to a host are serialized and spaced by min_interval,
         measured from the completion of the previous request, so observed
         inter-request gaps can never undercut the interval.
@@ -207,16 +210,16 @@ class Fetcher:
                 time.sleep(wait)
             try:
                 with self._opener.open(req, timeout=self.policy.timeout) as resp:
-                    return resp.getcode(), dict(resp.headers), resp.read()
+                    return resp.getcode(), resp.headers, resp.read()
             except urllib.error.HTTPError as err:
                 body = err.read() if err.fp else b""
-                return err.code, dict(err.headers or {}), body
+                return err.code, err.headers, body
             finally:
                 self._last_done[host] = time.monotonic()
 
     def _request_with_retry(self, url):
         last_err = None
-        for _ in range(self.policy.retries + 1):
+        for _ in range(_RETRIES + 1):
             try:
                 return self._polite_request(url)
             except (urllib.error.URLError, TimeoutError, ConnectionError, OSError) as err:
@@ -256,7 +259,7 @@ class Fetcher:
         """Retrieve one locator, through the cache, honoring robots."""
         if is_local(url):
             return self._fetch_local(url)
-        cached = self.cache.lookup(url, self.policy.max_age)
+        cached = self.cache.lookup(url)
         if cached is not None:
             return cached
         result = self._fetch_http(url)
@@ -286,7 +289,7 @@ class Fetcher:
     def _fetch_http(self, url):
         current = url
         now = time.time()
-        for _ in range(self.policy.max_redirects + 1):
+        for _ in range(_MAX_REDIRECTS + 1):
             if not self._robots_allows(current):
                 return FetchResult(url, STATUS_ROBOTS_DENIED, final_url=current,
                                    fetched_at=now)
@@ -296,7 +299,7 @@ class Fetcher:
                 return FetchResult(url, STATUS_UNREACHABLE, final_url=current,
                                    fetched_at=now, detail=str(err))
             if code in _REDIRECT_CODES:
-                location = headers.get("Location") or headers.get("location")
+                location = headers.get("Location")
                 if not location:
                     return FetchResult(url, STATUS_UNREACHABLE, final_url=current,
                                        fetched_at=now, detail="redirect without location")
@@ -310,7 +313,7 @@ class Fetcher:
                                    fetched_at=now, detail="HTTP %d" % code)
             if not body:
                 return FetchResult(url, STATUS_EMPTY, final_url=current, fetched_at=now)
-            raw_ctype = headers.get("Content-Type") or headers.get("content-type")
+            raw_ctype = headers.get("Content-Type")
             media_type, _, params = (raw_ctype or "").partition(";")
             ctype = media_type.strip().lower() if raw_ctype \
                 else sniff_content_type(body)
@@ -332,18 +335,16 @@ class Fetcher:
     def body(self, result):
         if not result.retrieved:
             raise ValueError("no body for status %r" % result.status)
-        return self.cache.body(result.digest)
+        with open(result.cache_path, "rb") as fh:
+            return fh.read()
 
-    def fetch_many(self, urls, jobs=4):
+    def fetch_many(self, urls, jobs):
         """Fetch unique locators concurrently; politeness stays per-host."""
         from concurrent.futures import ThreadPoolExecutor
 
         unique = list(dict.fromkeys(urls))
         if not unique:
             return {}
-        jobs = max(1, min(jobs, len(unique)))
-        if jobs == 1:
-            return {u: self.fetch(u) for u in unique}
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=max(1, min(jobs, len(unique)))) as pool:
             results = pool.map(self.fetch, unique)
         return dict(zip(unique, results))

@@ -45,9 +45,6 @@ class Token:
     length: int | None = None
     text: str | None = None
 
-    def is_chunk(self):
-        return self.kind == KIND_CHUNK
-
 
 def start_token(label, offset=0):
     return Token(KIND_START, offset, label=label.upper())
@@ -81,9 +78,6 @@ class LinearDocument:
 
     def __len__(self):
         return len(self.tokens)
-
-    def render(self):
-        return "\n".join(render_token(t) for t in self.tokens)
 
 
 def decode_html(data, encoding=None):

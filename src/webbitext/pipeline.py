@@ -34,7 +34,7 @@ from .candidates import CandidatePair, GeneratorConfig, extract_candidates
 from .evaluate import EvaluatorConfig, evaluate_pair
 from .fetch import (STATUS_EMPTY, STATUS_NON_HTML, STATUS_NOT_FOUND,
                     STATUS_ROBOTS_DENIED, STATUS_UNREACHABLE, FetchPolicy,
-                    Fetcher, PageCache, is_local, local_path)
+                    Fetcher, PageCache, is_local, local_path, write_atomic)
 from .langid import NgramModel, language_filter
 from .linearize import linearize
 
@@ -74,12 +74,6 @@ class PipelineConfig:
                     raise ValueError("missing language model: %s" % path)
 
 
-@dataclass(frozen=True)
-class GoldLabel:
-    pair_id: str
-    positive: bool
-
-
 @dataclass
 class ScoreSummary:
     true_positives: int
@@ -98,11 +92,8 @@ def score(records, gold):
     """Precision/recall of accept decisions against gold judgments.
 
     ``records`` is an iterable of (pair_id, accepted); ``gold`` maps pair
-    ids to booleans (or is an iterable of GoldLabel) and must cover every
-    record.
+    ids to booleans and must cover every record.
     """
-    if not isinstance(gold, dict):
-        gold = {label.pair_id: label.positive for label in gold}
     tp = fp = fn = gold_pos = 0
     for pid, accepted in records:
         if pid not in gold:
@@ -155,7 +146,7 @@ def write_segments(report, path):
             _escape_field(seg.left_text),
             _escape_field(seg.right_text),
         ]))
-    _write_atomic(path, "".join(line + "\n" for line in lines))
+    write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
 
 
 def candidates_tsv(pairs):
@@ -166,7 +157,7 @@ def candidates_tsv(pairs):
 
 
 def write_candidates_tsv(pairs, path):
-    _write_atomic(path, candidates_tsv(pairs))
+    write_atomic(path, candidates_tsv(pairs).encode("utf-8"))
 
 
 def read_candidates_tsv(path):
@@ -184,14 +175,6 @@ def read_candidates_tsv(path):
             dist = int(parts[3]) if len(parts) > 3 and parts[3] else None
             pairs.append(CandidatePair(url1, url2, hub, dist))
     return pairs
-
-
-def _write_atomic(path, text):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _read_body(path):
@@ -405,15 +388,16 @@ def write_outputs(out_dir, manifest, segments, started_at):
     """Segment files, reports.jsonl, manifest.json and run_info.json."""
     for name, report in segments.items():
         write_segments(report, os.path.join(out_dir, name))
-    _write_atomic(os.path.join(out_dir, "reports.jsonl"),
-                  "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n"
-                          for r in manifest["pairs"]))
-    _write_atomic(os.path.join(out_dir, "manifest.json"),
-                  json.dumps(manifest, indent=2, sort_keys=True,
-                             ensure_ascii=False) + "\n")
-    _write_atomic(os.path.join(out_dir, "run_info.json"),
-                  json.dumps({"started_at": started_at,
-                              "finished_at": time.time()}, indent=2) + "\n")
+    reports = "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n"
+                      for r in manifest["pairs"])
+    write_atomic(os.path.join(out_dir, "reports.jsonl"), reports.encode("utf-8"))
+    text = json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False)
+    write_atomic(os.path.join(out_dir, "manifest.json"),
+                 (text + "\n").encode("utf-8"))
+    text = json.dumps({"started_at": started_at, "finished_at": time.time()},
+                      indent=2)
+    write_atomic(os.path.join(out_dir, "run_info.json"),
+                 (text + "\n").encode("utf-8"))
 
 
 def run_pipeline(cfg, hubs):

@@ -501,7 +501,7 @@ def test_unequal_lengths_empty_sides_and_all_tag_sides():
         (left[:90] + left[150:], right),
         ([], right), (left, []), ([], tags), (tags, []),
         (tags, tags[5:] + tags[:5]),
-        (tags, [t for t in left if not t.is_chunk()]), (tags[:40], left),
+        (tags, [t for t in left if t.kind != KIND_CHUNK]), (tags[:40], left),
         # zero-length chunks, which linearize never emits but Token allows
         ([chunk_token(" "), start_token("P")] * 5,
          [chunk_token("ab"), chunk_token(" "), start_token("P")] * 4),

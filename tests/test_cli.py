@@ -120,6 +120,19 @@ def test_generate_and_run_keep_the_first_listing_of_a_pair(tmp_path):
         tmp_path / "en.html", tmp_path / "es.html", hub1)
 
 
+def test_generate_and_run_exit_1_when_a_hub_cannot_be_read(capsys, tmp_path):
+    hubs = tmp_path / "hubs.txt"
+    missing = [tmp_path / "gone1.html", tmp_path / "gone2.html"]
+    hubs.write_text("%s\n%s\n" % tuple(missing), encoding="utf-8")
+    common = ["--lang1", "english", "--lang2", "spanish", "--hubs", str(hubs)]
+    assert main(["generate", *common]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(str(path) in captured.err for path in missing)
+    assert main(["run", *common, "--out", str(tmp_path / "out"),
+                 "--jobs", "1"]) == 1
+
+
 _EVALUATOR = EvaluatorConfig()
 _GENERATOR = GeneratorConfig(frozenset({"en"}), frozenset({"es"}))
 _THRESHOLDS = {"k": _EVALUATOR.k, "p_threshold": _EVALUATOR.p_threshold,

@@ -3,11 +3,14 @@
 import json
 import socket
 
+import pytest
+
 from webbitext import FetchPolicy, Fetcher, PageCache, linearize
 from webbitext.fetch import (STATUS_EMPTY, STATUS_MOVED, STATUS_NON_HTML,
                              STATUS_NOT_FOUND, STATUS_OK,
                              STATUS_ROBOTS_DENIED, STATUS_UNREACHABLE,
-                             sniff_content_type)
+                             FetchResult, sniff_content_type)
+from webbitext.linearize import KIND_CHUNK
 
 HTML_BODY = "<HTML><BODY><P>hello from the stub</P></BODY></HTML>"
 
@@ -138,7 +141,7 @@ def test_unreachable_server(tmp_path):
     sock.bind(("127.0.0.1", 0))
     port = sock.getsockname()[1]
     sock.close()  # nothing listens here now
-    fetcher = make_fetcher(tmp_path, retries=0, timeout=2.0)
+    fetcher = make_fetcher(tmp_path, timeout=2.0)
     result = fetcher.fetch("http://127.0.0.1:%d/x.html" % port)
     assert result.status == STATUS_UNREACHABLE
 
@@ -170,16 +173,14 @@ def test_local_file_fetch(tmp_path):
 def test_cache_survives_restart(tmp_path):
     cache = PageCache(str(tmp_path / "cache"))
     digest, path = cache.store_body(b"<html>x</html>")
-    from webbitext.fetch import FetchResult
-
     cache.record(FetchResult("u1", STATUS_OK, final_url="u1",
                              content_type="text/html", digest=digest,
                              cache_path=path, fetched_at=123.0))
     reloaded = PageCache(str(tmp_path / "cache"))
     hit = reloaded.lookup("u1")
-    assert hit.digest == digest
-    assert reloaded.body(digest) == b"<html>x</html>"
-    assert reloaded.lookup("u1", max_age=1e-9) is None  # expired
+    assert (hit.digest, hit.cache_path) == (digest, path)
+    with open(hit.cache_path, "rb") as fh:
+        assert fh.read() == b"<html>x</html>"
 
 
 def test_header_charset_is_kept_through_the_cache(stub_server, tmp_path):
@@ -196,10 +197,33 @@ def test_header_charset_is_kept_through_the_cache(stub_server, tmp_path):
     assert cached.charset == "Shift_JIS"
     body = fetcher.body(cached)
     chunk = [t for t in linearize(body, encoding=cached.charset).tokens
-             if t.is_chunk()][0]
+             if t.kind == KIND_CHUNK][0]
     assert (chunk.text, chunk.length) == (phrase, 10)
-    mojibake = [t for t in linearize(body).tokens if t.is_chunk()][0]
+    mojibake = [t for t in linearize(body).tokens if t.kind == KIND_CHUNK][0]
     assert mojibake.length == 20
+
+
+@pytest.mark.parametrize("name", ["Content-type", "CONTENT-TYPE", "content-type"])
+def test_content_type_header_name_in_any_case(stub_server, tmp_path, name):
+    # "Content-type" is the spelling Python's own http.server sends.
+    phrase = "日本語のテキストです"
+    body = ("<HTML><BODY><P>%s</P></BODY></HTML>" % phrase).encode("shift_jis")
+    stub_server.routes["/ja.html"] = (
+        200, {name: "text/html; charset=Shift_JIS"}, body)
+    fetcher = make_fetcher(tmp_path)
+    result = fetcher.fetch(stub_server.base_url + "/ja.html")
+    assert (result.content_type, result.charset) == ("text/html", "Shift_JIS")
+    chunk = [t for t in linearize(fetcher.body(result), encoding=result.charset)
+             .tokens if t.kind == KIND_CHUNK][0]
+    assert (chunk.text, chunk.length) == (phrase, 10)
+
+
+def test_location_header_name_in_any_case(stub_server, tmp_path):
+    stub_server.routes["/old.html"] = (301, {"LOCATION": "/new.html"}, b"")
+    stub_server.add_page("/new.html", HTML_BODY)
+    base = stub_server.base_url
+    result = make_fetcher(tmp_path).fetch(base + "/old.html")
+    assert (result.status, result.final_url) == (STATUS_MOVED, base + "/new.html")
 
 
 def test_index_entries_without_charset_still_load(tmp_path):

@@ -64,14 +64,6 @@ def test_score_requires_gold_for_every_record():
         score([("known", True), ("unknown", False)], {"known": True})
 
 
-def test_score_accepts_gold_label_records():
-    from webbitext import GoldLabel
-
-    labels = [GoldLabel("a b", True), GoldLabel("c d", False)]
-    summary = score([("a b", True), ("c d", True)], labels)
-    assert summary.true_positives == 1 and summary.false_positives == 1
-
-
 def test_score_degenerate_denominators():
     summary = score([("a", False)], {"a": False})
     assert summary.precision is None and summary.recall is None
