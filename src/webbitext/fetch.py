@@ -1,7 +1,7 @@
 """Polite page retrieval into a content-addressed on-disk cache.
 
-Every retrieved body is stored once under its SHA-256 digest with a
-locator-to-digest index on the side, so reruns over the same candidate
+Every retrieved body is stored once under its SHA-256 digest, with one
+small entry file per locator on the side, so reruns over the same candidate
 set cost zero network requests and identical pages are detected by digest
 equality.  Per-host courtesy: robots.txt is fetched and honored before
 any page request to a host, and consecutive requests to one host are
@@ -16,6 +16,7 @@ bundled fixtures free of any network dependence.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import mimetypes
@@ -27,7 +28,7 @@ import urllib.parse
 import urllib.request
 import urllib.robotparser
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 STATUS_OK = "ok"
 STATUS_MOVED = "moved"
@@ -109,23 +110,37 @@ def _charset_param(params):
 
 
 class PageCache:
-    """Content-addressed body store plus a locator index.
+    """Content-addressed body store plus one JSON entry file per locator.
 
-    Bodies live under two-level digest-prefix directories; the index maps
-    each locator to its last FetchResult.  Index commits are serialized
-    and written atomically (temp file + rename).
+    A body of SHA-256 ``d`` is ``objects/<d[:2]>/<d>``, and the entry of a
+    locator of SHA-256 ``h`` is ``index/<h[:2]>/<h>``.  Atomic writes keep
+    concurrent runs' entries and leave a killed run's cache whole.
     """
 
     def __init__(self, root):
         self.root = str(root)
         self.objects_dir = os.path.join(self.root, "objects")
-        self.index_path = os.path.join(self.root, "index.json")
+        self.index_path = os.path.join(self.root, "index")
         os.makedirs(self.objects_dir, exist_ok=True)
-        self._lock = threading.RLock()
-        self._index = {}
-        if os.path.exists(self.index_path):
-            with open(self.index_path, encoding="utf-8") as fh:
-                self._index = json.load(fh)
+        os.makedirs(self.index_path, exist_ok=True)
+        self._migrate(os.path.join(self.root, "index.json"))
+
+    def _migrate(self, legacy_path):
+        """Split an ``index.json`` of older versions into entry files, once."""
+        try:
+            with open(legacy_path, encoding="utf-8") as fh:
+                legacy = json.load(fh)
+        except FileNotFoundError:
+            return
+        for url, entry in legacy.items():  # entries before "charset" lack it
+            if not os.path.exists(self._entry_path(url)):
+                self.record(FetchResult(url, **entry))
+        with contextlib.suppress(FileNotFoundError):  # a concurrent run got there first
+            os.remove(legacy_path)
+
+    def _entry_path(self, url):
+        h = hashlib.sha256(url.encode("utf-8")).hexdigest()
+        return os.path.join(self.index_path, h[:2], h)
 
     def body_path(self, digest):
         return os.path.join(self.objects_dir, digest[:2], digest)
@@ -138,33 +153,19 @@ class PageCache:
         return digest, path
 
     def record(self, result):
-        entry = {
-            "status": result.status,
-            "final_url": result.final_url,
-            "content_type": result.content_type,
-            "charset": result.charset,
-            "digest": result.digest,
-            "fetched_at": result.fetched_at,
-            "detail": result.detail,
-        }
-        with self._lock:
-            self._index[result.url] = entry
-            write_atomic(self.index_path,
-                         json.dumps(self._index, sort_keys=True).encode("utf-8"))
+        entry = asdict(result)
+        del entry["cache_path"]  # follows from the digest
+        write_atomic(self._entry_path(result.url),
+                     json.dumps(entry, sort_keys=True).encode("utf-8"))
 
     def lookup(self, url):
-        with self._lock:
-            entry = self._index.get(url)
-        if entry is None:
+        try:
+            with open(self._entry_path(url), encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except FileNotFoundError:
             return None
-        digest = entry["digest"]
-        return FetchResult(
-            url=url, status=entry["status"], final_url=entry["final_url"],
-            content_type=entry["content_type"],
-            charset=entry.get("charset", ""),  # absent in older indexes
-            digest=digest,
-            cache_path=self.body_path(digest) if digest else None,
-            fetched_at=entry["fetched_at"], detail=entry["detail"])
+        return FetchResult(**entry, cache_path=self.body_path(entry["digest"])
+                           if entry["digest"] else None)
 
 
 class _NoRedirect(urllib.request.HTTPRedirectHandler):
@@ -242,15 +243,23 @@ class Fetcher:
         return parser.can_fetch(self.policy.user_agent, url)
 
     def _load_robots(self, scheme, host):
-        robots_url = "%s://%s/robots.txt" % (scheme, host)
-        try:
-            code, _, body = self._request_with_retry(robots_url)
-        except Exception:
-            return None  # unavailable robots.txt: treat as permissive
-        if code != 200:
+        """The host's robots.txt rules, or None when every path is allowed.
+
+        Follows redirects; a 5xx answer disallows the whole host (RFC 9309,
+        2.3.1.2 and 2.3.1.4).  Any other non-200 answer, or none, allows all.
+        """
+        _, response, _ = self._follow("%s://%s/robots.txt" % (scheme, host),
+                                      check_robots=False)
+        if response is None:
             return None
+        code, _, body = response
         parser = urllib.robotparser.RobotFileParser()
-        parser.parse(body.decode("utf-8", errors="replace").splitlines())
+        if code >= 500:
+            parser.disallow_all = True
+        elif code == 200:
+            parser.parse(body.decode("utf-8", errors="replace").splitlines())
+        else:
+            return None
         return parser
 
     # -- fetching ---------------------------------------------------------
@@ -286,41 +295,50 @@ class Fetcher:
             ctype = mimetypes.guess_type(path)[0] or sniff_content_type(body)
         return self._finish(url, url, ctype, body, now)
 
-    def _fetch_http(self, url):
+    def _follow(self, url, check_robots=True):
+        """GET ``url``, following up to _MAX_REDIRECTS redirects.
+
+        Returns ``(final_url, response, failure)``.  ``response`` is the
+        last answer's ``(code, headers, body)``; when the chain stops
+        without one it is None and ``failure`` is the ``(status, detail)``.
+        """
         current = url
-        now = time.time()
         for _ in range(_MAX_REDIRECTS + 1):
-            if not self._robots_allows(current):
-                return FetchResult(url, STATUS_ROBOTS_DENIED, final_url=current,
-                                   fetched_at=now)
+            if check_robots and not self._robots_allows(current):
+                return current, None, (STATUS_ROBOTS_DENIED, "")
             try:
                 code, headers, body = self._request_with_retry(current)
             except Exception as err:
-                return FetchResult(url, STATUS_UNREACHABLE, final_url=current,
-                                   fetched_at=now, detail=str(err))
-            if code in _REDIRECT_CODES:
-                location = headers.get("Location")
-                if not location:
-                    return FetchResult(url, STATUS_UNREACHABLE, final_url=current,
-                                       fetched_at=now, detail="redirect without location")
-                current = urllib.parse.urljoin(current, location)
-                continue
-            if code in (404, 410):
-                return FetchResult(url, STATUS_NOT_FOUND, final_url=current,
-                                   fetched_at=now)
-            if code != 200:
-                return FetchResult(url, STATUS_UNREACHABLE, final_url=current,
-                                   fetched_at=now, detail="HTTP %d" % code)
-            if not body:
-                return FetchResult(url, STATUS_EMPTY, final_url=current, fetched_at=now)
-            raw_ctype = headers.get("Content-Type")
-            media_type, _, params = (raw_ctype or "").partition(";")
-            ctype = media_type.strip().lower() if raw_ctype \
-                else sniff_content_type(body)
-            return self._finish(url, current, ctype, body, now,
-                                _charset_param(params))
-        return FetchResult(url, STATUS_UNREACHABLE, final_url=current,
-                           fetched_at=now, detail="too many redirects")
+                return current, None, (STATUS_UNREACHABLE, str(err))
+            if code not in _REDIRECT_CODES:
+                return current, (code, headers, body), None
+            location = headers.get("Location")
+            if not location:
+                return current, None, (STATUS_UNREACHABLE, "redirect without location")
+            current = urllib.parse.urljoin(current, location)
+        return current, None, (STATUS_UNREACHABLE, "too many redirects")
+
+    def _fetch_http(self, url):
+        now = time.time()
+        current, response, failure = self._follow(url)
+        if response is None:
+            status, detail = failure
+            return FetchResult(url, status, final_url=current, fetched_at=now,
+                               detail=detail)
+        code, headers, body = response
+        if code in (404, 410):
+            return FetchResult(url, STATUS_NOT_FOUND, final_url=current,
+                               fetched_at=now)
+        if code != 200:
+            return FetchResult(url, STATUS_UNREACHABLE, final_url=current,
+                               fetched_at=now, detail="HTTP %d" % code)
+        if not body:
+            return FetchResult(url, STATUS_EMPTY, final_url=current, fetched_at=now)
+        raw_ctype = headers.get("Content-Type")
+        media_type, _, params = (raw_ctype or "").partition(";")
+        ctype = media_type.strip().lower() if raw_ctype \
+            else sniff_content_type(body)
+        return self._finish(url, current, ctype, body, now, _charset_param(params))
 
     def _finish(self, url, final_url, ctype, body, now, charset=""):
         if "html" not in ctype:

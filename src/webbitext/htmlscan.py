@@ -50,7 +50,6 @@ class Event:
     name: str = ""
     text: str = ""
     attrs: dict = field(default_factory=dict)
-    self_closing: bool = False
 
 
 def _parse_attrs(chunk):
@@ -117,8 +116,7 @@ def scan(source):
                 break  # unclosed tag at EOF: dropped
             attr_src = source[m.end():j]
             self_closing = attr_src.rstrip().endswith("/")
-            yield Event(START, lt, name=name, attrs=_parse_attrs(attr_src),
-                        self_closing=self_closing)
+            yield Event(START, lt, name=name, attrs=_parse_attrs(attr_src))
             i = j + 1
             if name in RAWTEXT_ELEMENTS and not self_closing:
                 m2 = re.compile("</" + re.escape(name), re.IGNORECASE).search(source, i)

@@ -1,10 +1,17 @@
 """Fetcher behavior against a local stub HTTP server and local files."""
 
 import json
+import os
+import re
+import signal
 import socket
+import subprocess
+import sys
+import time
 
 import pytest
 
+import webbitext
 from webbitext import FetchPolicy, Fetcher, PageCache, linearize
 from webbitext.fetch import (STATUS_EMPTY, STATUS_MOVED, STATUS_NON_HTML,
                              STATUS_NOT_FOUND, STATUS_OK,
@@ -67,6 +74,25 @@ def test_robots_denied_paths_are_never_requested(stub_server, tmp_path):
     requested = stub_server.paths_requested()
     assert "/private/secret.html" not in requested
     assert "/robots.txt" in requested and "/open.html" in requested
+
+
+def test_robots_redirect_is_followed(stub_server, tmp_path):
+    stub_server.add_redirect("/robots.txt", "/rules.txt")
+    stub_server.add_page("/rules.txt", "User-agent: *\nDisallow: /private/\n",
+                         "text/plain")
+    stub_server.add_page("/private/x.html", HTML_BODY)
+    result = make_fetcher(tmp_path).fetch(stub_server.base_url + "/private/x.html")
+    assert result.status == STATUS_ROBOTS_DENIED
+    requested = stub_server.paths_requested()
+    assert "/rules.txt" in requested and "/private/x.html" not in requested
+
+
+def test_robots_server_error_disallows_the_host(stub_server, tmp_path):
+    stub_server.add_page("/robots.txt", "busy", "text/plain", code=503)
+    stub_server.add_page("/page.html", HTML_BODY)
+    result = make_fetcher(tmp_path).fetch(stub_server.base_url + "/page.html")
+    assert result.status == STATUS_ROBOTS_DENIED
+    assert "/page.html" not in stub_server.paths_requested()
 
 
 def test_missing_robots_means_allowed(stub_server, tmp_path):
@@ -192,7 +218,7 @@ def test_header_charset_is_kept_through_the_cache(stub_server, tmp_path):
     url = stub_server.base_url + "/ja.html"
     fetched = make_fetcher(tmp_path).fetch(url)
     assert (fetched.content_type, fetched.charset) == ("text/html", "Shift_JIS")
-    fetcher = make_fetcher(tmp_path)  # a new cache object: answers from index.json
+    fetcher = make_fetcher(tmp_path)  # a new cache object: answers from disk
     cached = fetcher.fetch(url)
     assert cached.charset == "Shift_JIS"
     body = fetcher.body(cached)
@@ -234,3 +260,60 @@ def test_index_entries_without_charset_still_load(tmp_path):
         "digest": "ab" * 32, "fetched_at": 1.0, "detail": ""}}))
     hit = PageCache(str(root)).lookup("u1")
     assert (hit.status, hit.charset) == (STATUS_OK, "")
+    assert not (root / "index.json").exists()  # migrated once
+    again = PageCache(str(root)).lookup("u1")
+    assert (again.status, again.charset) == (STATUS_OK, "")
+
+
+def test_caches_sharing_a_root_keep_each_others_entries(tmp_path):
+    root = str(tmp_path / "cache")
+    first, second = PageCache(root), PageCache(root)
+    first.record(FetchResult("u1", STATUS_NOT_FOUND, final_url="u1"))
+    second.record(FetchResult("u2", STATUS_NOT_FOUND, final_url="u2"))
+    fresh = PageCache(root)
+    assert fresh.lookup("u1").final_url == "u1"
+    assert fresh.lookup("u2").final_url == "u2"
+
+
+_RECORD_FOREVER = r"""
+import sys
+from webbitext import PageCache
+from webbitext.fetch import FetchResult
+
+cache = PageCache(sys.argv[1])
+i = 0
+while True:
+    cache.record(FetchResult("u%d" % i, "ok", final_url="u%d" % i,
+                             detail="x" * 20000))
+    i += 1
+"""
+
+
+def _entry_files(root):
+    for dirpath, _, names in os.walk(os.path.join(root, "index")):
+        for name in names:
+            if re.fullmatch("[0-9a-f]{64}", name):  # not a temp file
+                yield os.path.join(dirpath, name)
+
+
+def test_cache_killed_mid_record_still_loads(tmp_path):
+    root = str(tmp_path / "cache")
+    package_parent = os.path.dirname(os.path.dirname(webbitext.__file__))
+    env = dict(os.environ, PYTHONPATH=package_parent)
+    proc = subprocess.Popen([sys.executable, "-c", _RECORD_FOREVER, root], env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while sum(1 for _ in _entry_files(root)) < 200:
+            assert proc.poll() is None, "recorder exited early"
+            assert time.monotonic() < deadline, "recorder too slow"
+            time.sleep(0.05)
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+    cache = PageCache(root)
+    found = list(_entry_files(root))
+    assert len(found) >= 200
+    for path in found:
+        with open(path, encoding="utf-8") as fh:
+            entry = json.load(fh)
+        assert cache.lookup(entry["url"]).detail == "x" * 20000
