@@ -92,12 +92,19 @@ def write_atomic(path, data):
 
     The temp file is named by process and thread, so concurrent writers of
     one path never share it, and readers see the old file or the new one.
+    A write or rename that raises removes the temp file; a process killed
+    in between leaves it behind.
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _charset_param(params):

@@ -11,6 +11,17 @@ distribution sums to one exactly.  Text is lowercased and whitespace runs
 are collapsed before counting or scoring, and scoring starts from n-1
 padding characters so the first real character is well defined.
 
+Scoring reads log-probabilities from tables built once per model: for
+each seen context, ``log((count + 1.0) / denom)`` per seen character and
+one value ``log(1.0 / denom)`` for every other character, where
+``denom`` is the context's total count plus the alphabet size plus one;
+a context never seen in training scores ``log(1.0 / (len(alphabet) +
+1))`` for any character.  These are the very floats that evaluating the
+smoothed probability and its ``math.log`` per character would give, and
+``log_prob_window`` adds them one by one in text order with ``+=`` (not
+``sum()``, which on Python 3.12 compensates and rounds differently), so
+each score is the same float as that direct evaluation, bit for bit.
+
 Model files are JSON with a versioned header: ``format`` and ``version``
 identify the layout, then ``language``, ``n``, ``alphabet`` (the observed
 characters as one string), ``trained_chars``, and ``counts`` mapping each
@@ -47,32 +58,33 @@ class NgramModel:
         self.counts = counts            # context -> Counter of next chars
         self.alphabet = set(alphabet)
         self.trained_chars = trained_chars
-        self._totals = {ctx: sum(c.values()) for ctx, c in counts.items()}
-        self._denom_base = len(self.alphabet) + 1  # alphabet plus unseen symbol
-
-    def prob(self, context, char):
-        """P(char | context); any char outside the alphabet is 'unseen'."""
-        ctx_counts = self.counts.get(context)
-        total = self._totals.get(context, 0)
-        denom = total + self._denom_base
-        if char not in self.alphabet:
-            return 1.0 / denom
-        count = ctx_counts[char] if ctx_counts else 0
-        return (count + 1.0) / denom
+        denom_base = len(self.alphabet) + 1  # alphabet plus unseen symbol
+        # context -> ({char: log P(char | context)}, log P of any other char)
+        self._tables = {}
+        for ctx, ctx_counts in counts.items():
+            denom = sum(ctx_counts.values()) + denom_base
+            self._tables[ctx] = (
+                {ch: math.log((count + 1.0) / denom)
+                 for ch, count in ctx_counts.items() if ch in self.alphabet},
+                math.log(1.0 / denom))
+        self._unseen_context = ({}, math.log(1.0 / denom_base))
 
     def log_prob_window(self, text, context):
         """Sum of log P over ``text`` continuing an explicit context.
 
         ``text`` is scored as-is (no normalization); ``context`` must be
-        n-1 characters long.
+        n-1 characters long.  Any char outside the alphabet is 'unseen'.
         """
-        if len(context) != self.n - 1:
-            raise ValueError("context must be %d chars" % (self.n - 1))
+        k = self.n - 1
+        if len(context) != k:
+            raise ValueError("context must be %d chars" % k)
+        padded = context + text
+        lookup = self._tables.get
+        unseen_context = self._unseen_context
         total = 0.0
-        window = context
-        for ch in text:
-            total += math.log(self.prob(window, ch))
-            window = (window + ch)[-(self.n - 1):] if self.n > 1 else ""
+        for i, ch in enumerate(text):
+            table, unseen = lookup(padded[i:i + k], unseen_context)
+            total += table.get(ch, unseen)
         return total
 
     def log_prob(self, text):
@@ -131,7 +143,9 @@ def classify(text, models):
         raise ValueError("need at least one model")
     if text == "":
         raise ValueError("cannot classify empty text")
-    scores = {m.language: m.log_prob(text) for m in models}
+    normalized = normalize(text)
+    scores = {m.language: m.log_prob_window(normalized, PAD * (m.n - 1))
+              for m in models}
     best = models[0].language
     for m in models[1:]:
         if scores[m.language] > scores[best]:

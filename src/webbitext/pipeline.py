@@ -196,44 +196,75 @@ def read_hub(fetcher, locator):
     return fetcher.body(result), result.charset
 
 
-def _evaluate_job(left, right, evaluator):
-    """Linearize and evaluate one pair from its cached bodies.
+def _evaluate_job(left, right, evaluator, langid):
+    """Linearize, evaluate and language-filter one pair from its cached bodies.
 
     ``left`` and ``right`` are (locator, cache path, header charset), so a
     job sent to a worker process carries paths, never page bodies.
-    Returns (EvaluationReport, None), or (None, error message) when
-    reading, linearizing or evaluating raised.
+    ``langid`` is None, or (models, expected language tags) to run the
+    language filter over an accepted pair's segment texts.  Returns
+    (EvaluationReport, filtered, None), where ``filtered`` is True when an
+    accepted pair failed the language filter, or (None, False, error
+    message) when reading, linearizing, evaluating or filtering raised.
     """
     try:
         docs = [linearize(_read_body(path), source_id=url, encoding=charset)
                 for url, path, charset in (left, right)]
-        return evaluate_pair(docs[0], docs[1], evaluator), None
+        report = evaluate_pair(docs[0], docs[1], evaluator)
+        filtered = False
+        if langid is not None and report.accepted:
+            models, expected = langid
+            filtered = not language_filter(
+                report, " ".join(s.left_text for s in report.segments),
+                " ".join(s.right_text for s in report.segments),
+                expected, models)
+        return report, filtered, None
     except Exception as err:
-        return None, str(err)
+        return None, False, str(err)
 
 
-def _evaluate_all(lefts, rights, evaluator, jobs):
-    """(report, error) per pair, in input order.
+# The language filter's models and tags in a worker process, set once per
+# process by the pool's initializer.
+_worker_langid = None
 
-    Linearize, align and the statistics are CPU-bound Python, so more than
-    one pair is spread over ``jobs`` worker processes.  A worker that dies
-    (killed for memory, say) breaks the pool: the outcomes collected so
-    far, in order, stand, and every later pair gets an error naming that.
+
+def _init_worker(langid):
+    global _worker_langid
+    _worker_langid = langid
+
+
+def _worker_job(left, right, evaluator):
+    return _evaluate_job(left, right, evaluator, _worker_langid)
+
+
+def _evaluate_all(lefts, rights, evaluator, jobs, langid):
+    """(report, filtered, error) per pair, in input order.
+
+    Linearize, align, the statistics and the language filter (when
+    ``langid`` holds its models and expected tags) are CPU-bound Python,
+    so more than one pair is spread over ``jobs`` worker processes.  Each
+    worker gets the models once, from the pool's initializer, never with
+    every job.  A worker that dies (killed for memory, say) breaks the
+    pool: the outcomes collected so far, in order, stand, and every later
+    pair gets an error naming that.
     """
     evaluators = itertools.repeat(evaluator)
     workers = min(jobs, len(lefts))
     if workers <= 1:
-        return list(map(_evaluate_job, lefts, rights, evaluators))
+        return list(map(_evaluate_job, lefts, rights, evaluators,
+                        itertools.repeat(langid)))
     # Imported here: only a run that starts a pool needs multiprocessing.
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     outcomes = []
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes.extend(pool.map(_evaluate_job, lefts, rights, evaluators))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(langid,)) as pool:
+            outcomes.extend(pool.map(_worker_job, lefts, rights, evaluators))
     except BrokenProcessPool as err:
         error = "evaluation worker died: %s" % err
-        outcomes.extend((None, error) for _ in range(len(lefts) - len(outcomes)))
+        outcomes.extend((None, False, error)
+                        for _ in range(len(lefts) - len(outcomes)))
     return outcomes
 
 
@@ -320,24 +351,27 @@ def triage(pair, results):
 
 
 def evaluate_records(records, results, cfg):
-    """Evaluate, then language-filter, every record triage left open.
+    """Evaluate and language-filter every record triage left open.
 
     Fills in each one's disposition, margins and segment file name, and
-    returns {segment file name: report} for the accepted pairs.
+    returns {segment file name: report} for the accepted pairs.  The
+    language models are loaded first, so a bad model file raises before
+    any pair is evaluated.
     """
     def side(url):
         return url, results[url].cache_path, results[url].charset
 
+    langid = None
+    if cfg.langid_filter:
+        langid = ([NgramModel.load(p) for p in cfg.langid_model_paths],
+                  cfg.expected_langs)
     open_idx = [i for i, rec in enumerate(records) if rec["disposition"] is None]
     outcomes = _evaluate_all([side(records[i]["url1"]) for i in open_idx],
                              [side(records[i]["url2"]) for i in open_idx],
-                             cfg.evaluator, cfg.jobs)
-    models = None
-    if cfg.langid_filter:
-        models = [NgramModel.load(p) for p in cfg.langid_model_paths]
+                             cfg.evaluator, cfg.jobs, langid)
 
     segments = {}
-    for idx, (report, error) in zip(open_idx, outcomes):
+    for idx, (report, filtered, error) in zip(open_idx, outcomes):
         record = records[idx]
         if error is not None:
             record["disposition"] = DISP_ERROR
@@ -351,10 +385,7 @@ def evaluate_records(records, results, cfg):
             record["p"] = report.correlation.p
         if not report.accepted:
             record["disposition"] = DISP_REJECTED
-        elif models is not None and not language_filter(
-                report, " ".join(s.left_text for s in report.segments),
-                " ".join(s.right_text for s in report.segments),
-                cfg.expected_langs, models):
+        elif filtered:
             record["disposition"] = DISP_LANG_FILTERED
         else:
             record["disposition"] = DISP_ACCEPTED

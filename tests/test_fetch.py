@@ -16,7 +16,7 @@ from webbitext import FetchPolicy, Fetcher, PageCache, linearize
 from webbitext.fetch import (STATUS_EMPTY, STATUS_MOVED, STATUS_NON_HTML,
                              STATUS_NOT_FOUND, STATUS_OK,
                              STATUS_ROBOTS_DENIED, STATUS_UNREACHABLE,
-                             FetchResult, sniff_content_type)
+                             FetchResult, sniff_content_type, write_atomic)
 from webbitext.linearize import KIND_CHUNK
 
 HTML_BODY = "<HTML><BODY><P>hello from the stub</P></BODY></HTML>"
@@ -317,3 +317,14 @@ def test_cache_killed_mid_record_still_loads(tmp_path):
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
         assert cache.lookup(entry["url"]).detail == "x" * 20000
+
+
+def test_write_atomic_leaves_no_temp_file_when_it_fails(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_atomic(str(target), b"body")  # rename onto a directory
+    with pytest.raises(TypeError):
+        write_atomic(str(tmp_path / "text"), "not bytes")  # the write raises
+    assert sorted(os.listdir(tmp_path)) == ["taken"]
+    assert os.listdir(target) == []

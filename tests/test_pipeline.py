@@ -9,7 +9,7 @@ import pytest
 
 from webbitext import (CandidatePair, EvaluatorConfig, FetchPolicy,
                        GeneratorConfig, PipelineConfig, evaluate_pair,
-                       linearize, load_gold, run_pipeline, score,
+                       linearize, load_gold, pipeline, run_pipeline, score,
                        write_segments)
 from webbitext.pipeline import (ConservationError, check_conservation,
                                 read_candidates_tsv, score_report_files,
@@ -197,6 +197,52 @@ def test_language_filter_removes_exactly_the_same_language_pair(
     assert filtered == [demo_corpus["same_language_pair"]]
     assert counts["evaluated"] == (counts["accepted"] + counts["rejected"]
                                    + counts["language_filtered"])
+
+
+def test_language_filter_in_worker_processes_writes_the_same_outputs(
+        demo_corpus, lang_models, tmp_path):
+    hubs = read_hubs(demo_corpus)
+    manifests = {}
+    for jobs in (1, 2):
+        manifests[jobs] = run_pipeline(corpus_config(
+            demo_corpus, tmp_path / ("jobs%d" % jobs), jobs=jobs,
+            langid_filter=True, langid_model_paths=tuple(lang_models),
+            expected_langs=("en", "es")), hubs)
+        assert manifests[jobs]["counts"]["language_filtered"] == 1
+    one, two = tmp_path / "jobs1", tmp_path / "jobs2"
+    assert (one / "reports.jsonl").read_bytes() == \
+        (two / "reports.jsonl").read_bytes()
+    assert _tree_bytes(one / "segments") == _tree_bytes(two / "segments")
+    written = [json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+               for out in (one, two)]
+    assert [m["config"].pop("jobs") for m in written] == [1, 2]
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_bad_language_model_raises_before_any_pair_is_evaluated(
+        demo_corpus, lang_models, tmp_path, monkeypatch, jobs):
+    bad = tmp_path / "v2.model"
+    doc = json.loads(open(lang_models[0], encoding="utf-8").read())
+    doc["version"] = 2
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return evaluate_all(*args)
+
+    evaluate_all = pipeline._evaluate_all
+    monkeypatch.setattr(pipeline, "_evaluate_all", spy)
+    cfg = corpus_config(demo_corpus, tmp_path / "out", jobs=jobs,
+                        langid_filter=True,
+                        langid_model_paths=(str(bad), lang_models[1]),
+                        expected_langs=("en", "es"))
+    with pytest.raises(ValueError, match="unsupported model version 2"):
+        run_pipeline(cfg, read_hubs(demo_corpus))
+    assert calls == []
+    assert not (tmp_path / "out" / "reports.jsonl").exists()
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_manifests_are_deterministic(demo_corpus, tmp_path):
