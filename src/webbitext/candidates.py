@@ -18,7 +18,7 @@ import html
 import itertools
 import os
 import urllib.parse
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from . import htmlscan
@@ -73,27 +73,28 @@ def build_query(lang1, lang2):
 
 def parse_anchors(text):
     """Extract anchors (href, inner text, inner ALT texts, source line)."""
-    line_starts = [0]
-    for i, c in enumerate(text):
-        if c == "\n":
-            line_starts.append(i + 1)
-
     anchors = []
+    texts = []  # per anchor, its unescaped text pieces, joined at the end
     open_anchor = None
+    line, counted = 1, 0  # ``line`` is the line number of offset ``counted``
     for ev in htmlscan.scan(text):
         if ev.kind == htmlscan.START and ev.name == "A":
-            open_anchor = Anchor(href=ev.attrs.get("href"),
-                                 line=bisect_right(line_starts, ev.offset))
+            line += text.count("\n", counted, ev.offset)
+            counted = ev.offset
+            open_anchor = Anchor(href=ev.attrs.get("href"), line=line)
             anchors.append(open_anchor)
+            texts.append([])
         elif open_anchor is not None:
             if ev.kind == htmlscan.TEXT:
-                open_anchor.text += html.unescape(ev.text)
+                texts[-1].append(html.unescape(ev.text))
             elif ev.kind == htmlscan.START and ev.name == "IMG":
                 alt = ev.attrs.get("alt")
                 if alt:
                     open_anchor.alts.append(alt)
             elif ev.kind == htmlscan.END and ev.name == "A":
                 open_anchor = None
+    for anchor, pieces in zip(anchors, texts):
+        anchor.text = "".join(pieces)
     return anchors
 
 
@@ -131,18 +132,19 @@ def extract_candidates(hub_source, hub_locator, cfg, encoding=None):
         return []
     firsts = [a for a in anchors if anchor_matches(a, cfg.lang1_names)]
     seconds = [a for a in anchors if anchor_matches(a, cfg.lang2_names)]
+    # Anchor lines never decrease in document order, so the seconds within
+    # a first's line window are one slice, found by bisection.
+    lines = [a.line for a in seconds]
     out = []
     for a1 in firsts:
-        for a2 in seconds:
-            if a1 is a2:
-                continue
-            dist = abs(a1.line - a2.line)
-            if dist > cfg.max_line_distance:
-                continue
-            out.append(CandidatePair(resolve_locator(hub_locator, a1.href),
-                                     resolve_locator(hub_locator, a2.href),
-                                     source_hub=hub_locator,
-                                     line_distance=dist))
+        lo = bisect_left(lines, a1.line - cfg.max_line_distance)
+        hi = bisect_right(lines, a1.line + cfg.max_line_distance)
+        for a2 in seconds[lo:hi]:
+            if a2 is not a1:
+                out.append(CandidatePair(
+                    resolve_locator(hub_locator, a1.href),
+                    resolve_locator(hub_locator, a2.href),
+                    source_hub=hub_locator, line_distance=abs(a1.line - a2.line)))
     return out
 
 

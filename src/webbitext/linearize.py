@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import html as _html
 
 from . import htmlscan
-from .htmlscan import RAWTEXT, START, END, TEXT, VOID_ELEMENTS
+from .htmlscan import START, END, TEXT, VOID_ELEMENTS
 
 KIND_START = "start"
 KIND_END = "end"
@@ -96,7 +96,9 @@ def decode_html(data, encoding=None):
             continue
         try:
             return data.decode(enc, errors="replace")
-        except LookupError:  # unknown name, or a bytes codec such as "hex"
+        except (LookupError, UnicodeError):
+            # unknown name, a bytes codec such as "hex", or a codec that
+            # cannot replace bad bytes ("idna", "punycode", "undefined")
             continue
     try:
         return data.decode("utf-8")
@@ -135,8 +137,6 @@ def linearize(data, source_id="", encoding=None):
             if not pieces:
                 piece_offset = ev.offset
             pieces.append(_html.unescape(ev.text))
-        elif ev.kind == RAWTEXT:
-            continue
         elif ev.kind == START:
             flush()
             tokens.append(start_token(ev.name, ev.offset))

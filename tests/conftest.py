@@ -143,3 +143,19 @@ def lang_models(tmp_path_factory):
 
     out = tmp_path_factory.mktemp("models")
     return train_models(str(out))
+
+
+def growth_ratio(run, make, n, factor=4):
+    """Best-of-three time of ``run(make(factor * n))`` over ``run(make(n))``.
+
+    Linear work gives about ``factor``, quadratic work about ``factor ** 2``.
+    """
+    def best(arg):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            run(arg)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    return best(make(factor * n)) / best(make(n))

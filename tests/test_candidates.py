@@ -1,11 +1,15 @@
 """Candidate generation: query building, anchor matching, hub extraction."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from webbitext import (Anchor, Fetcher, GeneratorConfig, PageCache,
-                       anchor_matches, build_query, extract_candidates,
-                       parse_anchors, read_hub_list)
+from conftest import growth_ratio
+from webbitext import (Anchor, CandidatePair, Fetcher, GeneratorConfig,
+                       PageCache, anchor_matches, build_query,
+                       extract_candidates, parse_anchors, read_hub_list)
+from webbitext.candidates import resolve_locator
 from webbitext.pipeline import generate_candidates
 
 
@@ -179,3 +183,55 @@ def test_extraction_respects_distance_and_membership(anchor_spec, max_dist):
     assert {(p.url1, p.url2) for p in pairs} == expected
     for p in pairs:
         assert p.line_distance <= max_dist
+
+
+def test_unclosed_anchor_text_takes_near_linear_time():
+    def hub(runs):
+        return '<A HREF="/en.html">' + ("wordy text " * 20 + "<B>") * runs
+
+    # Two size doublings: linear work grows about 4x, quadratic work 16x.
+    assert growth_ratio(parse_anchors, hub, 4000) < 8
+    assert parse_anchors(hub(3))[0].text == "wordy text " * 60
+
+
+def nested_loop_pairs(hub, locator, generator):
+    """Every (first, second) anchor pair within the line bound, in hub order,
+    by the full cross product."""
+    anchors = [a for a in parse_anchors(hub) if a.href]
+    firsts = [a for a in anchors if anchor_matches(a, generator.lang1_names)]
+    seconds = [a for a in anchors if anchor_matches(a, generator.lang2_names)]
+    return [CandidatePair(resolve_locator(locator, a1.href),
+                          resolve_locator(locator, a2.href), source_hub=locator,
+                          line_distance=abs(a1.line - a2.line))
+            for a1 in firsts for a2 in seconds
+            if a1 is not a2
+            and abs(a1.line - a2.line) <= generator.max_line_distance]
+
+
+_LABELS = ["English", "Spanish", "English / Español", "Home"]
+
+
+def random_hub(rng, groups):
+    lines = []
+    for g in range(groups):
+        anchors = ['<A HREF="/g%d/%d.html">%s</A>' % (g, k, rng.choice(_LABELS))
+                   for k in range(rng.randint(1, 3))]
+        lines.append(" | ".join(anchors))
+        lines.extend(["filler"] * rng.choice([0, 0, 1, 3, 12]))
+    return "\n".join(lines)
+
+
+def test_line_window_matches_the_nested_loop_on_a_large_hub():
+    hub = random_hub(random.Random(7), 2000)
+    pairs = extract_candidates(hub, "http://h/x.html", cfg())
+    assert len(pairs) > 2000
+    assert pairs == nested_loop_pairs(hub, "http://h/x.html", cfg())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 30), st.integers(0, 15))
+def test_line_window_matches_the_nested_loop_on_random_hubs(seed, groups, dist):
+    hub = random_hub(random.Random(seed), groups)
+    generator = cfg(max_line_distance=dist)
+    assert extract_candidates(hub, "http://h/x.html", generator) == \
+        nested_loop_pairs(hub, "http://h/x.html", generator)

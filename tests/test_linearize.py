@@ -113,6 +113,17 @@ def test_script_and_style_contents_are_not_chunks():
     ]
 
 
+def test_raw_text_ends_only_at_its_own_end_tag():
+    doc = linearize('<script>var s = "</scripts>"; callSomething(1, 2)</script>')
+    assert kinds(doc) == [(KIND_START, "SCRIPT"), (KIND_END, "SCRIPT")]
+    doc = linearize("<style>a</styles>b</style>c")
+    assert kinds(doc) == [(KIND_START, "STYLE"), (KIND_END, "STYLE"),
+                          (KIND_CHUNK, 1)]
+    for end in ("</script>", "</SCRIPT >", "</script/>", "</Script\n>"):
+        assert kinds(linearize("<script>x" + end + "y")) == [
+            (KIND_START, "SCRIPT"), (KIND_END, "SCRIPT"), (KIND_CHUNK, 1)]
+
+
 def test_entities_decode_to_single_characters():
     doc = linearize("<P>caf&eacute; &amp; th&#233;</P>")
     chunk = doc.tokens[1]
@@ -174,6 +185,10 @@ def test_encoding_hint_wins():
 def test_charsets_that_cannot_decode_text_are_skipped():
     assert decode_html(b"caf\xc3\xa9", "hex") == "café"
     assert decode_html(b"caf\xc3\xa9", "no-such-charset") == "café"
+    assert decode_html(b"caf\xc3\xa9", "idna") == "café"
+    assert decode_html(b"caf\xc3\xa9", "punycode") == "café"
+    assert decode_html(b'<META CHARSET="undefined">caf\xc3\xa9') == \
+        '<META CHARSET="undefined">café'
     doc = linearize(b'<META CHARSET="base64"><P>abc</P>')
     assert [t.length for t in doc.tokens if t.kind == KIND_CHUNK] == [3]
 
