@@ -122,14 +122,11 @@ def extract_candidates(hub_source, hub_locator, cfg, encoding=None):
     resolved against the hub locator; a pair of locators linked twice is
     listed twice (``pipeline.generate_candidates`` keeps the first).
     ``encoding`` is the charset from the hub's HTTP header, if any; see
-    ``decode_html``.  An unparseable hub yields an empty list, never an
-    exception.
+    ``decode_html``.  Any text, even garbage, parses; a hub without
+    language anchors yields an empty list.
     """
-    try:
-        text = decode_html(hub_source, encoding)
-        anchors = [a for a in parse_anchors(text) if a.href]
-    except Exception:
-        return []
+    text = decode_html(hub_source, encoding)
+    anchors = [a for a in parse_anchors(text) if a.href]
     firsts = [a for a in anchors if anchor_matches(a, cfg.lang1_names)]
     seconds = [a for a in anchors if anchor_matches(a, cfg.lang2_names)]
     # Anchor lines never decrease in document order, so the seconds within

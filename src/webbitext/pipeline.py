@@ -297,7 +297,7 @@ def generate_candidates(fetcher, hubs, generator):
     The first listing of a pair wins, so its source hub and line distance
     are those of the earliest hub that lists it.  Returns (pairs, number
     of listings before the dedup, hub errors); a hub that cannot be read
-    is a {"hub", "error"} entry, not a failure.
+    or parsed is a {"hub", "error"} entry, not a failure.
     """
     pairs = {}
     listed = 0
@@ -305,10 +305,11 @@ def generate_candidates(fetcher, hubs, generator):
     for hub in hubs:
         try:
             source, charset = read_hub(fetcher, hub)
+            found = extract_candidates(source, hub, generator,
+                                       encoding=charset)
         except Exception as err:
             hub_errors.append({"hub": hub, "error": str(err)})
             continue
-        found = extract_candidates(source, hub, generator, encoding=charset)
         listed += len(found)
         for pair in found:
             pairs.setdefault((pair.url1, pair.url2), pair)

@@ -563,3 +563,48 @@ def test_same_skeleton_alignment_stores_a_small_part_of_the_table():
     finally:
         tracemalloc.stop()
     assert peak < 0.05 * table_bytes
+
+
+# --- the substitution rule's two forms --------------------------------------
+
+@st.composite
+def _rule_tokens(draw, labels):
+    """Chunks of length 0 to 30, or start/end tags drawn from ``labels``."""
+    tokens = []
+    for _ in range(draw(st.integers(0, 12))):
+        roll = draw(st.integers(0, 2))
+        if roll == 0:
+            tokens.append(chunk_token("x" * draw(st.integers(0, 30))))
+        else:
+            label = draw(st.sampled_from(labels))
+            tokens.append(start_token(label) if roll == 1
+                          else end_token(label))
+    return tokens
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rule_tokens(["A", "P", "LI"]), _rule_tokens(["P", "LI", "TD"]))
+def test_substitution_rule_forms_agree_with_each_other_and_the_oracle(
+        left, right):
+    # A and TD sit on one side only; zero-length chunks and empty sides occur.
+    tag_ids = {}
+    codes = (_align_module._token_codes(left, tag_ids),
+             _align_module._token_codes(right, tag_ids))
+    for (a_tokens, a_codes), (b_tokens, b_codes) in (
+            ((left, codes[0]), (right, codes[1])),
+            ((right, codes[1]), (left, codes[0]))):
+        b_len = np.array([c[0] for c in b_codes], dtype=np.int64)
+        b_tag = np.array([c[1] for c in b_codes], dtype=np.int64)
+        for a, code in zip(a_tokens, a_codes):
+            scalar = [_align_module._sub_cost(code, c) for c in b_codes]
+            row = _align_module._row_costs(code, b_len, b_tag)
+            assert row.tolist() == scalar
+            for b, cost in zip(b_tokens, scalar):
+                exact = _oracle_sub(a, b)
+                if exact is None:
+                    assert cost == _INF
+                elif exact == 0:
+                    assert cost == 0.0
+                else:
+                    # 1 - min/max rounds twice: the division, the subtraction.
+                    assert abs(Fraction(cost) - exact) <= Fraction(1e-15)

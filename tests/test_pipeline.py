@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 import pytest
 
 from webbitext import (CandidatePair, EvaluatorConfig, FetchPolicy,
-                       GeneratorConfig, PipelineConfig, evaluate_pair,
-                       linearize, load_gold, pipeline, run_pipeline, score,
-                       write_segments)
+                       GeneratorConfig, PipelineConfig, candidates,
+                       evaluate_pair, linearize, load_gold, pipeline,
+                       run_pipeline, score, write_segments)
 from webbitext.pipeline import (ConservationError, check_conservation,
                                 read_candidates_tsv, score_report_files,
                                 write_candidates_tsv)
@@ -267,6 +267,34 @@ def test_unreadable_hub_is_recorded_not_fatal(tmp_path):
     assert manifest["counts"]["hub_errors"] == 1
     assert manifest["counts"]["generated"] == 0
     assert manifest["hub_errors"][0]["hub"].endswith("no-such-hub.html")
+
+
+def test_hub_reader_defect_is_a_hub_error_and_other_hubs_keep_their_pairs(
+        tmp_path, monkeypatch):
+    hubs = []
+    for name in ("one", "bad", "two"):
+        hub = tmp_path / ("%s.html" % name)
+        hub.write_text('<A HREF="%s-en.html">English</A>\n'
+                       '<A HREF="%s-es.html">Spanish</A>\n' % (name, name),
+                       encoding="utf-8")
+        hubs.append(str(hub))
+    parse = candidates.parse_anchors
+
+    def defective(text):
+        if "bad-en" in text:
+            raise AttributeError("reader defect")
+        return parse(text)
+
+    monkeypatch.setattr(candidates, "parse_anchors", defective)
+    cfg = PipelineConfig(
+        generator=GeneratorConfig(frozenset({"english"}), frozenset({"spanish"})),
+        out_dir=str(tmp_path / "out"), jobs=1)
+    manifest = run_pipeline(cfg, hubs)
+    assert manifest["hub_errors"] == [{"hub": hubs[1], "error": "reader defect"}]
+    assert manifest["counts"]["hub_errors"] == 1
+    assert [(os.path.basename(r["url1"]), os.path.basename(r["url2"]))
+            for r in manifest["pairs"]] == [("one-en.html", "one-es.html"),
+                                            ("two-en.html", "two-es.html")]
 
 
 def test_identical_pages_and_repeated_pairs_are_not_evaluated(tmp_path):
