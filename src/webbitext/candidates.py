@@ -71,6 +71,12 @@ def build_query(lang1, lang2):
     return 'anchor:"%s" AND anchor:"%s"' % (lang1, lang2)
 
 
+# An href loses the C0 controls and spaces at its ends and every tab and line
+# break, as in the URL Standard's parser; an href left empty is missing.
+_C0_OR_SPACE = "".join(map(chr, range(0x21)))
+_TAB_OR_NEWLINE = dict.fromkeys(map(ord, "\t\n\r"))
+
+
 def parse_anchors(text):
     """Extract anchors (href, inner text, inner ALT texts, source line)."""
     anchors = []
@@ -81,7 +87,9 @@ def parse_anchors(text):
         if ev.kind == htmlscan.START and ev.name == "A":
             line += text.count("\n", counted, ev.offset)
             counted = ev.offset
-            open_anchor = Anchor(href=ev.attrs.get("href"), line=line)
+            href = (ev.attrs.get("href") or "").strip(_C0_OR_SPACE)
+            open_anchor = Anchor(href=href.translate(_TAB_OR_NEWLINE) or None,
+                                 line=line)
             anchors.append(open_anchor)
             texts.append([])
         elif open_anchor is not None:

@@ -146,7 +146,7 @@ def cmd_generate(args):
         fetcher = Fetcher(PageCache(args.cache or tmp), FetchPolicy())
         pairs, _, hub_errors = generate_candidates(fetcher, hubs, cfg)
     for error in hub_errors:
-        print(error["error"], file=sys.stderr)
+        print("%s: %s" % (error["hub"], error["error"]), file=sys.stderr)
     if args.out:
         write_candidates_tsv(pairs, args.out)
     else:

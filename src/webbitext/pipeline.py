@@ -6,7 +6,9 @@ write plain files under one output directory:
 
   candidates.tsv   url1 <TAB> url2 <TAB> source_hub <TAB> line_distance
   reports.jsonl    one JSON record per candidate pair, every disposition
-  segments/        one TSV per accepted pair with aligned segment texts
+  segments/        one TSV per accepted pair with aligned segment texts,
+                   written as the pair is evaluated (a failed write makes
+                   that pair an error)
   manifest.json    per-disposition counts and per-pair outcomes
   run_info.json    wall-clock timestamps (kept out of the manifest so two
                    runs over the same corpus produce byte-identical
@@ -26,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import pathlib
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -45,6 +48,8 @@ DISP_ACCEPTED = "accepted"
 DISP_REJECTED = "rejected"
 DISP_LANG_FILTERED = "language_filtered"
 DISP_ERROR = "error"
+# The verdicts of an evaluated pair; each is also its manifest count key.
+EVALUATED = (DISP_ACCEPTED, DISP_REJECTED, DISP_LANG_FILTERED)
 
 _HARD_FAILURES = {STATUS_NOT_FOUND, STATUS_EMPTY, STATUS_UNREACHABLE,
                   STATUS_ROBOTS_DENIED}
@@ -177,11 +182,6 @@ def read_candidates_tsv(path):
     return pairs
 
 
-def _read_body(path):
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def read_hub(fetcher, locator):
     """(body bytes, header charset) of one hub page.
 
@@ -189,38 +189,48 @@ def read_hub(fetcher, locator):
     the hub cannot be read or fetched.
     """
     if is_local(locator):
-        return _read_body(local_path(locator)), ""
+        return pathlib.Path(local_path(locator)).read_bytes(), ""
     result = fetcher.fetch(locator)
     if not result.retrieved:
         raise IOError("hub %s: %s" % (locator, result.status))
     return fetcher.body(result), result.charset
 
 
-def _evaluate_job(left, right, evaluator, langid):
-    """Linearize, evaluate and language-filter one pair from its cached bodies.
+# The record fields an evaluation report fills in, besides the disposition.
+_REPORT_FIELDS = ("reject_reason", "mismatch_ratio", "r", "n", "p")
+
+
+def _evaluate_job(left, right, segments_path, evaluator, langid):
+    """Finish one pair from its cached bodies: its record fields.
 
     ``left`` and ``right`` are (locator, cache path, header charset), so a
     job sent to a worker process carries paths, never page bodies.
     ``langid`` is None, or (models, expected language tags) to run the
-    language filter over an accepted pair's segment texts.  Returns
-    (EvaluationReport, filtered, None), where ``filtered`` is True when an
-    accepted pair failed the language filter, or (None, False, error
-    message) when reading, linearizing, evaluating or filtering raised.
+    language filter over an accepted pair's segment texts.  An accepted
+    pair that passes it has its segments written to ``segments_path``.
+    When anything raises, the segments write included, the pair is an
+    error with the exception's message as its reason.
     """
     try:
-        docs = [linearize(_read_body(path), source_id=url, encoding=charset)
+        docs = [linearize(pathlib.Path(path).read_bytes(), source_id=url,
+                          encoding=charset)
                 for url, path, charset in (left, right)]
         report = evaluate_pair(docs[0], docs[1], evaluator)
-        filtered = False
-        if langid is not None and report.accepted:
+        disposition = DISP_ACCEPTED if report.accepted else DISP_REJECTED
+        if report.accepted and langid is not None:
             models, expected = langid
-            filtered = not language_filter(
-                report, " ".join(s.left_text for s in report.segments),
-                " ".join(s.right_text for s in report.segments),
-                expected, models)
-        return report, filtered, None
+            if not language_filter(
+                    report, " ".join(s.left_text for s in report.segments),
+                    " ".join(s.right_text for s in report.segments),
+                    expected, models):
+                disposition = DISP_LANG_FILTERED
+        if disposition == DISP_ACCEPTED:
+            write_segments(report, segments_path)
+        fields = report.to_dict()
+        return dict({key: fields[key] for key in _REPORT_FIELDS},
+                    disposition=disposition)
     except Exception as err:
-        return None, False, str(err)
+        return {"disposition": DISP_ERROR, "reject_reason": str(err)}
 
 
 # The language filter's models and tags in a worker process, set once per
@@ -233,12 +243,12 @@ def _init_worker(langid):
     _worker_langid = langid
 
 
-def _worker_job(left, right, evaluator):
-    return _evaluate_job(left, right, evaluator, _worker_langid)
+def _worker_job(left, right, segments_path, evaluator):
+    return _evaluate_job(left, right, segments_path, evaluator, _worker_langid)
 
 
-def _evaluate_all(lefts, rights, evaluator, jobs, langid):
-    """(report, filtered, error) per pair, in input order.
+def _evaluate_all(lefts, rights, segment_paths, evaluator, jobs, langid):
+    """The record fields of each pair, in input order.
 
     Linearize, align, the statistics and the language filter (when
     ``langid`` holds its models and expected tags) are CPU-bound Python,
@@ -246,13 +256,13 @@ def _evaluate_all(lefts, rights, evaluator, jobs, langid):
     worker gets the models once, from the pool's initializer, never with
     every job.  A worker that dies (killed for memory, say) breaks the
     pool: the outcomes collected so far, in order, stand, and every later
-    pair gets an error naming that.
+    pair is an error naming that.
     """
     evaluators = itertools.repeat(evaluator)
     workers = min(jobs, len(lefts))
     if workers <= 1:
-        return list(map(_evaluate_job, lefts, rights, evaluators,
-                        itertools.repeat(langid)))
+        return list(map(_evaluate_job, lefts, rights, segment_paths,
+                        evaluators, itertools.repeat(langid)))
     # Imported here: only a run that starts a pool needs multiprocessing.
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
@@ -260,11 +270,12 @@ def _evaluate_all(lefts, rights, evaluator, jobs, langid):
     try:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(langid,)) as pool:
-            outcomes.extend(pool.map(_worker_job, lefts, rights, evaluators))
+            outcomes.extend(pool.map(_worker_job, lefts, rights, segment_paths,
+                                     evaluators))
     except BrokenProcessPool as err:
-        error = "evaluation worker died: %s" % err
-        outcomes.extend((None, False, error)
-                        for _ in range(len(lefts) - len(outcomes)))
+        error = {"disposition": DISP_ERROR,
+                 "reject_reason": "evaluation worker died: %s" % err}
+        outcomes += [error] * (len(lefts) - len(outcomes))
     return outcomes
 
 
@@ -284,11 +295,11 @@ def check_conservation(counts):
         raise ConservationError("generated %d != %d identical + unretrievable "
                                 "+ non_html + evaluated + errors"
                                 % (counts["generated"], parts))
-    verdicts = counts["accepted"] + counts["rejected"] + counts["language_filtered"]
+    verdicts = sum(counts[d] for d in EVALUATED)
     if counts["evaluated"] != verdicts:
-        raise ConservationError("evaluated %d != %d accepted + rejected "
-                                "+ language_filtered"
-                                % (counts["evaluated"], verdicts))
+        raise ConservationError("evaluated %d != %d %s"
+                                % (counts["evaluated"], verdicts,
+                                   " + ".join(EVALUATED)))
 
 
 def generate_candidates(fetcher, hubs, generator):
@@ -352,10 +363,10 @@ def triage(pair, results):
 
 
 def evaluate_records(records, results, cfg):
-    """Evaluate and language-filter every record triage left open.
+    """Evaluate every record triage left open, each pair in its own job.
 
-    Fills in each one's disposition, margins and segment file name, and
-    returns {segment file name: report} for the accepted pairs.  The
+    The job writes an accepted pair's segments under ``cfg.out_dir``; this
+    fills in the fields it returns and the segments file name.  The
     language models are loaded first, so a bad model file raises before
     any pair is evaluated.
     """
@@ -367,32 +378,15 @@ def evaluate_records(records, results, cfg):
         langid = ([NgramModel.load(p) for p in cfg.langid_model_paths],
                   cfg.expected_langs)
     open_idx = [i for i, rec in enumerate(records) if rec["disposition"] is None]
+    names = ["segments/pair%04d.tsv" % i for i in open_idx]
     outcomes = _evaluate_all([side(records[i]["url1"]) for i in open_idx],
                              [side(records[i]["url2"]) for i in open_idx],
+                             [os.path.join(cfg.out_dir, n) for n in names],
                              cfg.evaluator, cfg.jobs, langid)
-
-    segments = {}
-    for idx, (report, filtered, error) in zip(open_idx, outcomes):
-        record = records[idx]
-        if error is not None:
-            record["disposition"] = DISP_ERROR
-            record["reject_reason"] = error
-            continue
-        record["mismatch_ratio"] = report.mismatch_ratio
-        record["reject_reason"] = report.reject_reason
-        if report.correlation is not None:
-            record["r"] = report.correlation.r
-            record["n"] = report.correlation.n
-            record["p"] = report.correlation.p
-        if not report.accepted:
-            record["disposition"] = DISP_REJECTED
-        elif filtered:
-            record["disposition"] = DISP_LANG_FILTERED
-        else:
-            record["disposition"] = DISP_ACCEPTED
-            record["segments_file"] = "segments/pair%04d.tsv" % idx
-            segments[record["segments_file"]] = report
-    return segments
+    for idx, name, fields in zip(open_idx, names, outcomes):
+        records[idx].update(fields)
+        if fields["disposition"] == DISP_ACCEPTED:
+            records[idx]["segments_file"] = name
 
 
 def count_dispositions(records, listed, hub_errors):
@@ -405,8 +399,7 @@ def count_dispositions(records, listed, hub_errors):
         "identical": tally[DISP_IDENTICAL],
         "unretrievable": tally[DISP_UNRETRIEVABLE],
         "non_html": tally[DISP_NON_HTML],
-        "evaluated": (tally[DISP_ACCEPTED] + tally[DISP_REJECTED]
-                      + tally[DISP_LANG_FILTERED]),
+        "evaluated": sum(tally[d] for d in EVALUATED),
         "accepted": tally[DISP_ACCEPTED],
         "rejected": tally[DISP_REJECTED],
         "language_filtered": tally[DISP_LANG_FILTERED],
@@ -416,10 +409,8 @@ def count_dispositions(records, listed, hub_errors):
     }
 
 
-def write_outputs(out_dir, manifest, segments, started_at):
-    """Segment files, reports.jsonl, manifest.json and run_info.json."""
-    for name, report in segments.items():
-        write_segments(report, os.path.join(out_dir, name))
+def write_outputs(out_dir, manifest, started_at):
+    """reports.jsonl, manifest.json and run_info.json."""
     reports = "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n"
                       for r in manifest["pairs"])
     write_atomic(os.path.join(out_dir, "reports.jsonl"), reports.encode("utf-8"))
@@ -446,7 +437,7 @@ def run_pipeline(cfg, hubs):
     results = fetcher.fetch_many([u for p in pairs for u in (p.url1, p.url2)],
                                  cfg.jobs)
     records = [triage(pair, results) for pair in pairs]
-    segments = evaluate_records(records, results, cfg)
+    evaluate_records(records, results, cfg)
     counts = count_dispositions(records, listed, hub_errors)
     check_conservation(counts)
     manifest = {
@@ -457,7 +448,7 @@ def run_pipeline(cfg, hubs):
                         for r in records if r["disposition"] == DISP_ERROR],
         "pairs": records,
     }
-    write_outputs(cfg.out_dir, manifest, segments, started_at)
+    write_outputs(cfg.out_dir, manifest, started_at)
     return manifest
 
 
@@ -485,8 +476,7 @@ def score_report_files(reports_path, gold_path):
             if not line.strip():
                 continue
             rec = json.loads(line)
-            if rec["disposition"] in (DISP_ACCEPTED, DISP_REJECTED,
-                                      DISP_LANG_FILTERED):
+            if rec["disposition"] in EVALUATED:
                 records.append((rec["pair_id"],
                                 rec["disposition"] == DISP_ACCEPTED))
     return score(records, gold)

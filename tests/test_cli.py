@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from webbitext import EvaluatorConfig, FetchPolicy, GeneratorConfig
-from webbitext.cli import build_parser, main
+from webbitext import (EvaluatorConfig, FetchPolicy, GeneratorConfig, align,
+                       candidates, linearize)
+from webbitext.cli import build_parser, main, render_alignment
 
 from conftest import serve_shift_jis_hub, text_with_length
 
@@ -48,6 +49,16 @@ def test_align_renders_two_columns_with_sdiff_marks(capsys, worked_files):
     assert lines[5] == "[START:H1]    <"
     assert lines[8] == "[Chunk:112]   | [Chunk:122]"
     assert "mismatched tokens: 3 of 15 (ratio 0.2000)" in out
+
+
+def test_align_marks_a_right_token_with_no_counterpart():
+    left = linearize("<HTML><BODY><P>some words here</P></BODY></HTML>")
+    right = linearize("<HTML><BODY><H1>Title</H1>"
+                      "<P>otra palabras aqui</P></BODY></HTML>")
+    lines = render_alignment(align(left, right), left, right).splitlines()
+    assert lines[2:5] == ["             > [START:H1]",
+                          "             > [Chunk:5]",
+                          "             > [END:H1]"]
 
 
 def test_evaluate_exit_codes(capsys, tmp_path, worked_files):
@@ -131,6 +142,24 @@ def test_generate_and_run_exit_1_when_a_hub_cannot_be_read(capsys, tmp_path):
     assert all(str(path) in captured.err for path in missing)
     assert main(["run", *common, "--out", str(tmp_path / "out"),
                  "--jobs", "1"]) == 1
+
+
+def test_generate_names_the_hub_on_every_error_line(capsys, tmp_path,
+                                                   monkeypatch):
+    hub = tmp_path / "hub.html"
+    hub.write_text('<A HREF="en.html">English</A>\n'
+                   '<A HREF="es.html">Spanish</A>\n', encoding="utf-8")
+    hubs = tmp_path / "hubs.txt"
+    hubs.write_text("%s\n" % hub, encoding="utf-8")
+
+    def defective(text):
+        raise AttributeError("'NoneType' object has no attribute 'group'")
+
+    monkeypatch.setattr(candidates, "parse_anchors", defective)
+    assert main(["generate", "--lang1", "english", "--lang2", "spanish",
+                 "--hubs", str(hubs)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "%s: 'NoneType' object has no attribute 'group'" % hub]
 
 
 _EVALUATOR = EvaluatorConfig()

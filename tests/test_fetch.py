@@ -162,6 +162,22 @@ def test_redirect_limit(stub_server, tmp_path):
     assert "redirect" in result.detail
 
 
+def test_redirect_without_location_is_unreachable(stub_server, tmp_path):
+    stub_server.routes["/nowhere.html"] = (302, {}, b"")
+    fetcher = make_fetcher(tmp_path)
+    result = fetcher.fetch(stub_server.base_url + "/nowhere.html")
+    assert result.status == STATUS_UNREACHABLE
+    assert result.detail == "redirect without location"
+
+
+def test_body_of_a_result_without_one_raises(stub_server, tmp_path):
+    fetcher = make_fetcher(tmp_path)
+    result = fetcher.fetch(stub_server.base_url + "/gone.html")
+    assert result.status == STATUS_NOT_FOUND
+    with pytest.raises(ValueError, match="no body for status 'not_found'"):
+        fetcher.body(result)
+
+
 def test_unreachable_server(tmp_path):
     sock = socket.socket()
     sock.bind(("127.0.0.1", 0))

@@ -3,17 +3,21 @@
 import hashlib
 import json
 import os
+import signal
+import subprocess
+import sys
 from dataclasses import dataclass, field
 
 import pytest
 
-from webbitext import (CandidatePair, EvaluatorConfig, FetchPolicy,
-                       GeneratorConfig, PipelineConfig, candidates,
-                       evaluate_pair, linearize, load_gold, pipeline,
-                       run_pipeline, score, write_segments)
+import webbitext
+from webbitext import (CandidatePair, EvaluatorConfig, FetchPolicy, Fetcher,
+                       GeneratorConfig, PageCache, PipelineConfig, candidates,
+                       evaluate_pair, extract_candidates, linearize, load_gold,
+                       pipeline, run_pipeline, score, write_segments)
 from webbitext.pipeline import (ConservationError, check_conservation,
-                                read_candidates_tsv, score_report_files,
-                                write_candidates_tsv)
+                                generate_candidates, read_candidates_tsv,
+                                score_report_files, write_candidates_tsv)
 
 from conftest import serve_shift_jis_hub, text_with_length
 
@@ -84,6 +88,20 @@ def test_candidates_tsv_round_trip(tmp_path):
     assert [(p.url1, p.url2, p.source_hub, p.line_distance) for p in back] == \
         [("http://a/1", "http://a/2", "http://hub", 3),
          ("/x", "/y", "/hub.html", None)]
+
+
+def test_hrefs_with_tabs_and_line_breaks_round_trip_through_candidates_tsv(
+        tmp_path):
+    hub = ('<A HREF=" http://h/en&#9;x.html ">English</A>\n'
+           '<A HREF="http://h/es\r\nx.html">Spanish</A>\n'
+           '<A HREF=" &#13;&#10; ">Spanish</A>\n')
+    pairs = extract_candidates(hub, "http://h/hub.html", GeneratorConfig(
+        frozenset({"english"}), frozenset({"spanish"})))
+    assert [(p.url1, p.url2) for p in pairs] == \
+        [("http://h/enx.html", "http://h/esx.html")]
+    path = tmp_path / "cands.tsv"
+    write_candidates_tsv(pairs, str(path))
+    assert read_candidates_tsv(str(path)) == pairs
 
 
 def _accepted_report(left_title="Emergency Exit", right_title="Sortie de Secours"):
@@ -269,6 +287,18 @@ def test_unreadable_hub_is_recorded_not_fatal(tmp_path):
     assert manifest["hub_errors"][0]["hub"].endswith("no-such-hub.html")
 
 
+def test_failed_http_hub_is_a_hub_error_naming_its_status(stub_server,
+                                                         tmp_path):
+    hub = stub_server.base_url + "/no-hub.html"
+    fetcher = Fetcher(PageCache(str(tmp_path / "cache")),
+                      FetchPolicy(min_interval=0.0, timeout=5.0))
+    pairs, listed, hub_errors = generate_candidates(
+        fetcher, [hub], GeneratorConfig(frozenset({"english"}),
+                                        frozenset({"spanish"})))
+    assert (pairs, listed) == ([], 0)
+    assert hub_errors == [{"hub": hub, "error": "hub %s: not_found" % hub}]
+
+
 def test_hub_reader_defect_is_a_hub_error_and_other_hubs_keep_their_pairs(
         tmp_path, monkeypatch):
     hubs = []
@@ -413,6 +443,85 @@ def test_exception_in_a_worker_fails_only_that_pair(default_run, demo_corpus,
     unaffected = [r for r in baseline["pairs"]
                   if url1 not in (r["url1"], r["url2"])]
     assert [r for r in manifest["pairs"] if r not in broken] == unaffected
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_segments_file_that_cannot_be_written_is_that_pairs_error(
+        default_run, demo_corpus, tmp_path, jobs):
+    baseline, _ = default_run
+    first = next(r for r in baseline["pairs"] if r["disposition"] == "accepted")
+    out = tmp_path / "out"
+    os.makedirs(out / first["segments_file"])  # a directory in the file's place
+    manifest = run_pipeline(corpus_config(demo_corpus, out, jobs=jobs),
+                            read_hubs(demo_corpus))
+    record = next(r for r in manifest["pairs"]
+                  if r["pair_id"] == first["pair_id"])
+    assert record["disposition"] == "error"
+    assert record["segments_file"] is None
+    assert "Is a directory" in record["reject_reason"]
+    assert manifest["pair_errors"] == [{"pair_id": first["pair_id"],
+                                        "error": record["reject_reason"]}]
+    assert (manifest["counts"]["errors"], manifest["counts"]["accepted"]) == \
+        (1, baseline["counts"]["accepted"] - 1)
+    assert [r for r in manifest["pairs"] if r is not record] == \
+        [r for r in baseline["pairs"] if r["pair_id"] != first["pair_id"]]
+    assert (out / "manifest.json").exists()
+    assert len(_tree_bytes(out / "segments")) == baseline["counts"]["accepted"] - 1
+
+
+# Runs the demo corpus at jobs=1 and SIGKILLs itself at the start of
+# evaluate_pair call number argv[1]; argv[2] is the output dir, argv[3]
+# the hub list.
+_KILLED_RUN = r"""
+import os, signal, sys
+from webbitext import GeneratorConfig, PipelineConfig, pipeline, run_pipeline
+
+evaluate_pair, calls = pipeline.evaluate_pair, []
+
+def evaluate_or_die(*args):
+    calls.append(None)
+    if len(calls) == int(sys.argv[1]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return evaluate_pair(*args)
+
+pipeline.evaluate_pair = evaluate_or_die
+with open(sys.argv[3], encoding="utf-8") as fh:
+    hubs = [line.strip() for line in fh if line.strip()]
+run_pipeline(PipelineConfig(
+    generator=GeneratorConfig(frozenset({"english"}),
+                              frozenset({"spanish", "español"})),
+    out_dir=sys.argv[2], jobs=1), hubs)
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_run_killed_during_evaluation_leaves_no_torn_file(default_run,
+                                                          demo_corpus,
+                                                          tmp_path):
+    baseline, complete = default_run
+    evaluated = [r for r in baseline["pairs"]
+                 if r["disposition"] in ("accepted", "rejected")]
+    kill_at = 2 + next(i for i, r in enumerate(evaluated)
+                       if r["disposition"] == "accepted")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(webbitext.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _KILLED_RUN, str(kill_at),
+                           str(out), demo_corpus["hubs_file"]],
+                          env=env, timeout=120)
+    assert proc.returncode == -signal.SIGKILL
+    left = _tree_bytes(out)
+    assert not [name for name in left if ".tmp." in name]
+    assert {"reports.jsonl", "manifest.json", "run_info.json"}.isdisjoint(left)
+    finished = evaluated[:kill_at - 1]
+    segments = {name: data for name, data in left.items()
+                if name.startswith("segments" + os.sep)}
+    assert sorted(segments) == sorted(
+        os.path.normpath(r["segments_file"]) for r in finished
+        if r["disposition"] == "accepted")
+    expected = _tree_bytes(complete)
+    assert segments == {name: expected[name] for name in segments}
+    assert left["candidates.tsv"] == expected["candidates.tsv"]
 
 
 @dataclass

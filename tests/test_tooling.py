@@ -19,3 +19,33 @@ def test_package_has_no_assert_statements():
             found += ["%s:%d" % (os.path.relpath(path, SRC), node.lineno)
                       for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+
+def _swallows(handler):
+    """True for an ``except`` of Exception, BaseException or anything that
+    neither re-raises nor reads the exception it binds."""
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+        else [handler.type]
+    broad = any(t is None or (isinstance(t, ast.Name)
+                              and t.id in ("Exception", "BaseException"))
+                for t in types)
+    inner = [n for stmt in handler.body for n in ast.walk(stmt)]
+    reraises = any(isinstance(n, ast.Raise) for n in inner)
+    reads = any(isinstance(n, ast.Name) and n.id == handler.name
+                and isinstance(n.ctx, ast.Load) for n in inner)
+    return broad and not reraises and not reads
+
+
+def test_broad_exception_handlers_keep_their_error():
+    # A broad handler that drops its exception hides any defect behind it.
+    found = []
+    for dirpath, _, names in os.walk(SRC):
+        for name in sorted(n for n in names if n.endswith(".py")):
+            path = os.path.join(dirpath, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            found += ["%s:%d" % (os.path.relpath(path, SRC), node.lineno)
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.ExceptHandler) and _swallows(node)]
+    assert found == []
