@@ -146,7 +146,7 @@ def cmd_generate(args):
         fetcher = Fetcher(PageCache(args.cache or tmp), FetchPolicy())
         pairs, _, hub_errors = generate_candidates(fetcher, hubs, cfg)
     for error in hub_errors:
-        print("%s: %s" % (error["hub"], error["error"]), file=sys.stderr)
+        print("%(hub)s: %(type)s: %(error)s" % error, file=sys.stderr)
     if args.out:
         write_candidates_tsv(pairs, args.out)
     else:
@@ -159,11 +159,10 @@ def cmd_fetch(args):
     cache_dir = args.cache or "webbitext_cache"
     fetcher = Fetcher(PageCache(cache_dir),
                       FetchPolicy(min_interval=args.min_interval))
-    urls = [u for p in pairs for u in (p.url1, p.url2)]
-    results = fetcher.fetch_many(urls, jobs=args.jobs)
+    results = fetcher.fetch_many([u for p in pairs for u in (p.url1, p.url2)],
+                                 jobs=args.jobs)
     stream = _out_stream(args.out)
-    for url in dict.fromkeys(urls):
-        r = results[url]
+    for url, r in results.items():
         stream.write(json.dumps({
             "url": url, "status": r.status, "final_url": r.final_url,
             "content_type": r.content_type, "digest": r.digest,

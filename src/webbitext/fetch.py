@@ -1,26 +1,28 @@
 """Polite page retrieval into a content-addressed on-disk cache.
 
-Every retrieved body is stored once under its SHA-256 digest, with one
-small entry file per locator on the side, so reruns over the same candidate
-set cost zero network requests and identical pages are detected by digest
-equality.  Per-host courtesy: robots.txt is fetched and honored before
-any page request to a host, and consecutive requests to one host are
-separated by at least a configurable interval.  Failures never abort a
-run; they map onto a small status taxonomy (not found, moved, empty,
+Every retrieved body is stored once under its SHA-256 digest, which finds
+it again, and every HTTP fetch result as one small entry file per locator,
+so reruns cost zero network requests and identical pages are detected by
+digest equality.  Per-host courtesy: robots.txt is fetched and honored
+before any page request to a host, and consecutive requests to one host
+are separated by at least a configurable interval.  Failures never abort
+a run; they map onto a small status taxonomy (not found, moved, empty,
 unreachable, robots denied, non-HTML) that the pipeline records per pair.
 
 Locators without a scheme (or with file://) are read from the local
-filesystem through the same status taxonomy, which keeps corpus runs over
-bundled fixtures free of any network dependence.
+filesystem through the same status taxonomy, so corpus runs need no network.
 """
 
 from __future__ import annotations
 
 import contextlib
+import glob
 import hashlib
 import json
 import mimetypes
 import os
+import re
+import socket
 import threading
 import time
 import urllib.error
@@ -58,7 +60,6 @@ class FetchResult:
     content_type: str = ""
     charset: str = ""  # from the Content-Type header; "" when none was sent
     digest: str | None = None
-    cache_path: str | None = None
     fetched_at: float = 0.0
     detail: str = ""
 
@@ -90,13 +91,14 @@ def sniff_content_type(body):
 def write_atomic(path, data):
     """Write ``data`` (bytes) to ``path`` through a temp file and a rename.
 
-    The temp file is named by process and thread, so concurrent writers of
-    one path never share it, and readers see the old file or the new one.
-    A write or rename that raises removes the temp file; a process killed
-    in between leaves it behind.
+    The temp file ``<path>.tmp.<host>.<pid>.<thread>`` is never shared by
+    concurrent writers, and readers see the old file or the new one.  A
+    write or rename that raises removes it; a process killed in between
+    leaves it for the next ``PageCache`` opened on that host to remove.
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
+    tmp = "%s.tmp.%s.%d.%d" % (path, socket.gethostname(), os.getpid(),
+                               threading.get_ident())
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
@@ -120,8 +122,9 @@ class PageCache:
     """Content-addressed body store plus one JSON entry file per locator.
 
     A body of SHA-256 ``d`` is ``objects/<d[:2]>/<d>``, and the entry of a
-    locator of SHA-256 ``h`` is ``index/<h[:2]>/<h>``.  Atomic writes keep
-    concurrent runs' entries and leave a killed run's cache whole.
+    locator of SHA-256 ``h`` is ``index/<h[:2]>/<h>``, its ``FetchResult``
+    as JSON.  Atomic writes keep concurrent runs' entries and leave a killed
+    run's cache whole; opening it removes what dead writers left behind.
     """
 
     def __init__(self, root):
@@ -130,20 +133,24 @@ class PageCache:
         self.index_path = os.path.join(self.root, "index")
         os.makedirs(self.objects_dir, exist_ok=True)
         os.makedirs(self.index_path, exist_ok=True)
-        self._migrate(os.path.join(self.root, "index.json"))
+        if os.name == "posix":  # elsewhere os.kill(pid, 0) ends the process
+            self._remove_leftovers()
 
-    def _migrate(self, legacy_path):
-        """Split an ``index.json`` of older versions into entry files, once."""
-        try:
-            with open(legacy_path, encoding="utf-8") as fh:
-                legacy = json.load(fh)
-        except FileNotFoundError:
-            return
-        for url, entry in legacy.items():  # entries before "charset" lack it
-            if not os.path.exists(self._entry_path(url)):
-                self.record(FetchResult(url, **entry))
-        with contextlib.suppress(FileNotFoundError):  # a concurrent run got there first
-            os.remove(legacy_path)
+    def _remove_leftovers(self):
+        """Delete the temp files of this host's writers that have died."""
+        ours = re.compile(r"\.tmp\.%s\.(\d+)\.\d+$" % re.escape(socket.gethostname()))
+        for top in (self.objects_dir, self.index_path):
+            for name in glob.glob(os.path.join("*", "*.tmp.*"), root_dir=top):
+                match = ours.search(name)
+                if not match:  # not a temp file of this host
+                    continue
+                try:
+                    os.kill(int(match.group(1)), 0)  # signal 0 only checks
+                except ProcessLookupError:  # the writer is dead
+                    with contextlib.suppress(FileNotFoundError):  # a concurrent open won
+                        os.remove(os.path.join(top, name))
+                except PermissionError:  # alive, under another user
+                    pass
 
     def _entry_path(self, url):
         h = hashlib.sha256(url.encode("utf-8")).hexdigest()
@@ -157,22 +164,18 @@ class PageCache:
         path = self.body_path(digest)
         if not os.path.exists(path):
             write_atomic(path, body)
-        return digest, path
+        return digest
 
     def record(self, result):
-        entry = asdict(result)
-        del entry["cache_path"]  # follows from the digest
         write_atomic(self._entry_path(result.url),
-                     json.dumps(entry, sort_keys=True).encode("utf-8"))
+                     json.dumps(asdict(result), sort_keys=True).encode("utf-8"))
 
     def lookup(self, url):
         try:
             with open(self._entry_path(url), encoding="utf-8") as fh:
-                entry = json.load(fh)
+                return FetchResult(**json.load(fh))
         except FileNotFoundError:
             return None
-        return FetchResult(**entry, cache_path=self.body_path(entry["digest"])
-                           if entry["digest"] else None)
 
 
 class _NoRedirect(urllib.request.HTTPRedirectHandler):
@@ -195,24 +198,22 @@ class Fetcher:
 
     # -- politeness -------------------------------------------------------
 
-    def _host_lock(self, host):
+    def _lock(self, locks, host):
         with self._locks_guard:
-            return self._host_locks[host]
+            return locks[host]
 
     def _polite_request(self, url):
         """One rate-limited HTTP request; returns (code, headers, body).
 
-        ``headers`` is the response's header message, whose lookups
-        ignore case.
-
-        Requests to a host are serialized and spaced by min_interval,
+        ``headers`` is the response's header message, whose lookups ignore
+        case.  Requests to a host are serialized and spaced by min_interval,
         measured from the completion of the previous request, so observed
         inter-request gaps can never undercut the interval.
         """
         host = urllib.parse.urlsplit(url).netloc
         req = urllib.request.Request(
             url, headers={"User-Agent": self.policy.user_agent})
-        with self._host_lock(host):
+        with self._lock(self._host_locks, host):
             wait = self._last_done.get(host, -1e9) + self.policy.min_interval - time.monotonic()
             if wait > 0:
                 time.sleep(wait)
@@ -239,34 +240,27 @@ class Fetcher:
     def _robots_allows(self, url):
         parts = urllib.parse.urlsplit(url)
         host = parts.netloc
-        with self._locks_guard:
-            lock = self._robots_locks[host]
-        with lock:  # single flight: one robots.txt request per host
+        with self._lock(self._robots_locks, host):  # one robots.txt request
             if host not in self._robots:
                 self._robots[host] = self._load_robots(parts.scheme, host)
-            parser = self._robots[host]
-        if parser is None:
-            return True
-        return parser.can_fetch(self.policy.user_agent, url)
+        return self._robots[host].can_fetch(self.policy.user_agent, url)
 
     def _load_robots(self, scheme, host):
-        """The host's robots.txt rules, or None when every path is allowed.
+        """The host's robots.txt rules, as a parser.
 
         Follows redirects; a 5xx answer disallows the whole host (RFC 9309,
         2.3.1.2 and 2.3.1.4).  Any other non-200 answer, or none, allows all.
         """
         _, response, _ = self._follow("%s://%s/robots.txt" % (scheme, host),
                                       check_robots=False)
-        if response is None:
-            return None
-        code, _, body = response
+        code, _, body = response or (0, None, b"")  # no answer: code 0
         parser = urllib.robotparser.RobotFileParser()
         if code >= 500:
             parser.disallow_all = True
         elif code == 200:
             parser.parse(body.decode("utf-8", errors="replace").splitlines())
         else:
-            return None
+            parser.allow_all = True
         return parser
 
     # -- fetching ---------------------------------------------------------
@@ -275,11 +269,10 @@ class Fetcher:
         """Retrieve one locator, through the cache, honoring robots."""
         if is_local(url):
             return self._fetch_local(url)
-        cached = self.cache.lookup(url)
-        if cached is not None:
-            return cached
-        result = self._fetch_http(url)
-        self.cache.record(result)
+        result = self.cache.lookup(url)
+        if result is None:
+            result = self._fetch_http(url)
+            self.cache.record(result)
         return result
 
     def _fetch_local(self, url):
@@ -293,10 +286,7 @@ class Fetcher:
         except OSError as err:
             return FetchResult(url, STATUS_UNREACHABLE, final_url=url,
                                fetched_at=now, detail=str(err))
-        if not body:
-            return FetchResult(url, STATUS_EMPTY, final_url=url, fetched_at=now)
-        ext = os.path.splitext(path)[1].lower()
-        if ext in (".html", ".htm"):
+        if os.path.splitext(path)[1].lower() in (".html", ".htm"):
             ctype = "text/html"
         else:
             ctype = mimetypes.guess_type(path)[0] or sniff_content_type(body)
@@ -328,19 +318,15 @@ class Fetcher:
     def _fetch_http(self, url):
         now = time.time()
         current, response, failure = self._follow(url)
-        if response is None:
+        code, headers, body = response or (None, None, None)
+        if code in (404, 410):
+            failure = (STATUS_NOT_FOUND, "")
+        elif code not in (None, 200):
+            failure = (STATUS_UNREACHABLE, "HTTP %d" % code)
+        if failure:
             status, detail = failure
             return FetchResult(url, status, final_url=current, fetched_at=now,
                                detail=detail)
-        code, headers, body = response
-        if code in (404, 410):
-            return FetchResult(url, STATUS_NOT_FOUND, final_url=current,
-                               fetched_at=now)
-        if code != 200:
-            return FetchResult(url, STATUS_UNREACHABLE, final_url=current,
-                               fetched_at=now, detail="HTTP %d" % code)
-        if not body:
-            return FetchResult(url, STATUS_EMPTY, final_url=current, fetched_at=now)
         raw_ctype = headers.get("Content-Type")
         media_type, _, params = (raw_ctype or "").partition(";")
         ctype = media_type.strip().lower() if raw_ctype \
@@ -348,19 +334,20 @@ class Fetcher:
         return self._finish(url, current, ctype, body, now, _charset_param(params))
 
     def _finish(self, url, final_url, ctype, body, now, charset=""):
+        if not body:
+            return FetchResult(url, STATUS_EMPTY, final_url=final_url, fetched_at=now)
         if "html" not in ctype:
             return FetchResult(url, STATUS_NON_HTML, final_url=final_url,
                                content_type=ctype, fetched_at=now, detail=ctype)
-        digest, path = self.cache.store_body(body)
         status = STATUS_OK if final_url == url else STATUS_MOVED
         return FetchResult(url, status, final_url=final_url, content_type=ctype,
-                           charset=charset, digest=digest, cache_path=path,
+                           charset=charset, digest=self.cache.store_body(body),
                            fetched_at=now)
 
     def body(self, result):
         if not result.retrieved:
             raise ValueError("no body for status %r" % result.status)
-        with open(result.cache_path, "rb") as fh:
+        with open(self.cache.body_path(result.digest), "rb") as fh:
             return fh.read()
 
     def fetch_many(self, urls, jobs):
@@ -368,8 +355,5 @@ class Fetcher:
         from concurrent.futures import ThreadPoolExecutor
 
         unique = list(dict.fromkeys(urls))
-        if not unique:
-            return {}
         with ThreadPoolExecutor(max_workers=max(1, min(jobs, len(unique)))) as pool:
-            results = pool.map(self.fetch, unique)
-        return dict(zip(unique, results))
+            return dict(zip(unique, pool.map(self.fetch, unique)))

@@ -36,6 +36,8 @@ import math
 import re
 from collections import Counter
 
+from .fetch import write_atomic
+
 FORMAT_NAME = "webbitext-ngram"
 FORMAT_VERSION = 1
 
@@ -102,8 +104,8 @@ class NgramModel:
             "counts": {ctx: dict(sorted(c.items()))
                        for ctx, c in sorted(self.counts.items())},
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, ensure_ascii=False, sort_keys=True)
+        write_atomic(path, json.dumps(doc, ensure_ascii=False,
+                                      sort_keys=True).encode("utf-8"))
 
     @classmethod
     def load(cls, path):

@@ -83,9 +83,10 @@ class LinearDocument:
 def decode_html(data, encoding=None):
     """Decode page bytes to text without ever raising.
 
-    Priority: caller-supplied encoding (e.g. from an HTTP header), then a
-    charset declared in a meta tag, then UTF-8, falling back to Latin-1,
-    which accepts any byte sequence.  Bad bytes are replaced, not fatal.
+    Priority: a UTF-8 byte order mark, then the caller-supplied encoding
+    (e.g. from an HTTP header), then a charset declared in a meta tag, then
+    UTF-8, falling back to Latin-1, which accepts any byte sequence.  Bad
+    bytes are replaced, not fatal.
     """
     if isinstance(data, str):
         return data

@@ -35,9 +35,8 @@ from dataclasses import dataclass, field
 
 from .candidates import CandidatePair, GeneratorConfig, extract_candidates
 from .evaluate import EvaluatorConfig, evaluate_pair
-from .fetch import (STATUS_EMPTY, STATUS_NON_HTML, STATUS_NOT_FOUND,
-                    STATUS_ROBOTS_DENIED, STATUS_UNREACHABLE, FetchPolicy,
-                    Fetcher, PageCache, is_local, local_path, write_atomic)
+from .fetch import (STATUS_NON_HTML, FetchPolicy, Fetcher, PageCache, is_local,
+                    local_path, write_atomic)
 from .langid import NgramModel, language_filter
 from .linearize import linearize
 
@@ -50,9 +49,6 @@ DISP_LANG_FILTERED = "language_filtered"
 DISP_ERROR = "error"
 # The verdicts of an evaluated pair; each is also its manifest count key.
 EVALUATED = (DISP_ACCEPTED, DISP_REJECTED, DISP_LANG_FILTERED)
-
-_HARD_FAILURES = {STATUS_NOT_FOUND, STATUS_EMPTY, STATUS_UNREACHABLE,
-                  STATUS_ROBOTS_DENIED}
 
 
 @dataclass
@@ -203,7 +199,7 @@ _REPORT_FIELDS = ("reject_reason", "mismatch_ratio", "r", "n", "p")
 def _evaluate_job(left, right, segments_path, evaluator, langid):
     """Finish one pair from its cached bodies: its record fields.
 
-    ``left`` and ``right`` are (locator, cache path, header charset), so a
+    ``left`` and ``right`` are (locator, body path, header charset), so a
     job sent to a worker process carries paths, never page bodies.
     ``langid`` is None, or (models, expected language tags) to run the
     language filter over an accepted pair's segment texts.  An accepted
@@ -308,7 +304,8 @@ def generate_candidates(fetcher, hubs, generator):
     The first listing of a pair wins, so its source hub and line distance
     are those of the earliest hub that lists it.  Returns (pairs, number
     of listings before the dedup, hub errors); a hub that cannot be read
-    or parsed is a {"hub", "error"} entry, not a failure.
+    or parsed is a {"hub", "type", "error"} entry, not a failure, where
+    "type" names the exception's class.
     """
     pairs = {}
     listed = 0
@@ -319,7 +316,8 @@ def generate_candidates(fetcher, hubs, generator):
             found = extract_candidates(source, hub, generator,
                                        encoding=charset)
         except Exception as err:
-            hub_errors.append({"hub": hub, "error": str(err)})
+            hub_errors.append({"hub": hub, "type": type(err).__name__,
+                               "error": str(err)})
             continue
         listed += len(found)
         for pair in found:
@@ -335,10 +333,10 @@ def triage(pair, results):
     evaluation.
     """
     r1, r2 = results[pair.url1], results[pair.url2]
-    statuses = {r1.status, r2.status}
-    if statuses & _HARD_FAILURES:
+    failures = {r.status for r in (r1, r2) if not r.retrieved}
+    if failures - {STATUS_NON_HTML}:
         disposition = DISP_UNRETRIEVABLE
-    elif STATUS_NON_HTML in statuses:
+    elif failures:
         disposition = DISP_NON_HTML
     elif r1.digest == r2.digest:
         disposition = DISP_IDENTICAL
@@ -362,16 +360,16 @@ def triage(pair, results):
     }
 
 
-def evaluate_records(records, results, cfg):
+def evaluate_records(records, results, cache, cfg):
     """Evaluate every record triage left open, each pair in its own job.
 
-    The job writes an accepted pair's segments under ``cfg.out_dir``; this
-    fills in the fields it returns and the segments file name.  The
-    language models are loaded first, so a bad model file raises before
-    any pair is evaluated.
+    The job reads the pair's bodies from ``cache`` by digest and writes an
+    accepted pair's segments under ``cfg.out_dir``; this fills in the
+    fields it returns and the segments file name.  The language models are
+    loaded first, so a bad model file raises before any pair is evaluated.
     """
     def side(url):
-        return url, results[url].cache_path, results[url].charset
+        return url, cache.body_path(results[url].digest), results[url].charset
 
     langid = None
     if cfg.langid_filter:
@@ -437,7 +435,7 @@ def run_pipeline(cfg, hubs):
     results = fetcher.fetch_many([u for p in pairs for u in (p.url1, p.url2)],
                                  cfg.jobs)
     records = [triage(pair, results) for pair in pairs]
-    evaluate_records(records, results, cfg)
+    evaluate_records(records, results, cache, cfg)
     counts = count_dispositions(records, listed, hub_errors)
     check_conservation(counts)
     manifest = {

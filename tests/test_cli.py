@@ -159,7 +159,7 @@ def test_generate_names_the_hub_on_every_error_line(capsys, tmp_path,
     assert main(["generate", "--lang1", "english", "--lang2", "spanish",
                  "--hubs", str(hubs)]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "%s: 'NoneType' object has no attribute 'group'" % hub]
+        "%s: AttributeError: 'NoneType' object has no attribute 'group'" % hub]
 
 
 _EVALUATOR = EvaluatorConfig()
@@ -219,6 +219,15 @@ def test_langid_train_and_classify(capsys, tmp_path):
     result = json.loads(capsys.readouterr().out)
     assert result["language"] == "en"
     assert result["scores"]["en"] > result["scores"]["es"]
+
+
+def test_langid_classify_reads_its_text_from_a_file(capsys, tmp_path,
+                                                    lang_models):
+    text = tmp_path / "text.txt"
+    text.write_text("la casa de los niños está en el pueblo", encoding="utf-8")
+    assert main(["langid", "classify", "--models", ",".join(lang_models),
+                 "--in", str(text)]) == 0
+    assert json.loads(capsys.readouterr().out)["language"] == "es"
 
 
 def test_run_and_score_roundtrip(capsys, tmp_path, demo_corpus, lang_models):

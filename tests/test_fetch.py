@@ -1,5 +1,6 @@
 """Fetcher behavior against a local stub HTTP server and local files."""
 
+import errno
 import json
 import os
 import re
@@ -36,7 +37,7 @@ def test_basic_ok_fetch_and_digest(stub_server, tmp_path):
     fetcher = make_fetcher(tmp_path)
     result = fetcher.fetch(stub_server.base_url + "/page.html")
     assert result.status == STATUS_OK
-    assert result.digest and result.cache_path
+    assert result.digest
     assert fetcher.body(result).decode() == HTML_BODY
     assert result.content_type == "text/html"
 
@@ -195,6 +196,26 @@ def test_content_type_sniffing_when_header_is_missing():
     assert sniff_content_type(b"just some text") == "application/octet-stream"
 
 
+def test_page_served_without_content_type_is_sniffed(stub_server, tmp_path):
+    stub_server.routes["/page"] = (200, {}, HTML_BODY.encode())
+    stub_server.routes["/doc"] = (200, {}, b"%PDF-1.4 stuff")
+    fetcher = make_fetcher(tmp_path)
+    page = fetcher.fetch(stub_server.base_url + "/page")
+    assert (page.status, page.content_type) == (STATUS_OK, "text/html")
+    doc = fetcher.fetch(stub_server.base_url + "/doc")
+    assert (doc.status, doc.detail) == (STATUS_NON_HTML, "application/pdf")
+
+
+def test_unreadable_local_page_is_unreachable_with_the_os_message(tmp_path):
+    loop = tmp_path / "loop.html"
+    loop.symlink_to(loop)  # a symlink to itself: opening it fails with ELOOP
+    with pytest.raises(OSError) as raised:
+        open(loop, "rb")
+    assert raised.value.errno == errno.ELOOP
+    result = make_fetcher(tmp_path).fetch(str(loop))
+    assert (result.status, result.detail) == (STATUS_UNREACHABLE, str(raised.value))
+
+
 def test_local_file_fetch(tmp_path):
     page = tmp_path / "page.html"
     page.write_text(HTML_BODY)
@@ -214,14 +235,14 @@ def test_local_file_fetch(tmp_path):
 
 def test_cache_survives_restart(tmp_path):
     cache = PageCache(str(tmp_path / "cache"))
-    digest, path = cache.store_body(b"<html>x</html>")
+    digest = cache.store_body(b"<html>x</html>")
     cache.record(FetchResult("u1", STATUS_OK, final_url="u1",
                              content_type="text/html", digest=digest,
-                             cache_path=path, fetched_at=123.0))
+                             fetched_at=123.0))
     reloaded = PageCache(str(tmp_path / "cache"))
     hit = reloaded.lookup("u1")
-    assert (hit.digest, hit.cache_path) == (digest, path)
-    with open(hit.cache_path, "rb") as fh:
+    assert hit.digest == digest
+    with open(reloaded.body_path(hit.digest), "rb") as fh:
         assert fh.read() == b"<html>x</html>"
 
 
@@ -266,19 +287,6 @@ def test_location_header_name_in_any_case(stub_server, tmp_path):
     base = stub_server.base_url
     result = make_fetcher(tmp_path).fetch(base + "/old.html")
     assert (result.status, result.final_url) == (STATUS_MOVED, base + "/new.html")
-
-
-def test_index_entries_without_charset_still_load(tmp_path):
-    root = tmp_path / "cache"
-    root.mkdir()
-    (root / "index.json").write_text(json.dumps({"u1": {
-        "status": STATUS_OK, "final_url": "u1", "content_type": "text/html",
-        "digest": "ab" * 32, "fetched_at": 1.0, "detail": ""}}))
-    hit = PageCache(str(root)).lookup("u1")
-    assert (hit.status, hit.charset) == (STATUS_OK, "")
-    assert not (root / "index.json").exists()  # migrated once
-    again = PageCache(str(root)).lookup("u1")
-    assert (again.status, again.charset) == (STATUS_OK, "")
 
 
 def test_caches_sharing_a_root_keep_each_others_entries(tmp_path):
@@ -326,7 +334,23 @@ def test_cache_killed_mid_record_still_loads(tmp_path):
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
+    # Opening the cache removes this host's temp files of the dead recorder,
+    # in objects/ and index/, and keeps a live writer's and another host's.
+    host = socket.gethostname()
+    planted = {}
+    for name, top, writer, pid in [("dead", "objects", host, proc.pid),
+                                   ("dead", "index", host, proc.pid),
+                                   ("live", "index", host, os.getpid()),
+                                   ("other", "index", "x" + host, proc.pid)]:
+        os.makedirs(os.path.join(root, top, "ab"), exist_ok=True)
+        path = os.path.join(root, top, "ab", "ab%s.tmp.%s.%d.1"
+                            % (name, writer, pid))
+        open(path, "wb").close()
+        planted[path] = name
     cache = PageCache(root)
+    left = [os.path.join(d, n) for d, _, names in os.walk(root)
+            for n in names if ".tmp." in n]
+    assert sorted(planted.get(path, path) for path in left) == ["live", "other"]
     found = list(_entry_files(root))
     assert len(found) >= 200
     for path in found:

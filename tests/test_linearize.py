@@ -182,6 +182,11 @@ def test_encoding_hint_wins():
     assert decode_html(b"caf\xe9", "latin-1") == "café"
 
 
+def test_utf8_bom_wins_over_the_encoding_hint():
+    assert decode_html(b"\xef\xbb\xbf<p>caf\xc3\xa9</p>", "latin-1") == \
+        "<p>café</p>"
+
+
 def test_charsets_that_cannot_decode_text_are_skipped():
     assert decode_html(b"caf\xc3\xa9", "hex") == "café"
     assert decode_html(b"caf\xc3\xa9", "no-such-charset") == "café"

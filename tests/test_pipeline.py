@@ -90,6 +90,12 @@ def test_candidates_tsv_round_trip(tmp_path):
          ("/x", "/y", "/hub.html", None)]
 
 
+def test_candidates_tsv_reader_skips_comments_and_one_column_lines(tmp_path):
+    path = tmp_path / "cands.tsv"
+    path.write_text("# url1\turl2\n/only-one\n\n/a\t/b\n", encoding="utf-8")
+    assert read_candidates_tsv(str(path)) == [CandidatePair("/a", "/b", "", None)]
+
+
 def test_hrefs_with_tabs_and_line_breaks_round_trip_through_candidates_tsv(
         tmp_path):
     hub = ('<A HREF=" http://h/en&#9;x.html ">English</A>\n'
@@ -296,7 +302,8 @@ def test_failed_http_hub_is_a_hub_error_naming_its_status(stub_server,
         fetcher, [hub], GeneratorConfig(frozenset({"english"}),
                                         frozenset({"spanish"})))
     assert (pairs, listed) == ([], 0)
-    assert hub_errors == [{"hub": hub, "error": "hub %s: not_found" % hub}]
+    assert hub_errors == [{"hub": hub, "type": "OSError",
+                           "error": "hub %s: not_found" % hub}]
 
 
 def test_hub_reader_defect_is_a_hub_error_and_other_hubs_keep_their_pairs(
@@ -320,7 +327,8 @@ def test_hub_reader_defect_is_a_hub_error_and_other_hubs_keep_their_pairs(
         generator=GeneratorConfig(frozenset({"english"}), frozenset({"spanish"})),
         out_dir=str(tmp_path / "out"), jobs=1)
     manifest = run_pipeline(cfg, hubs)
-    assert manifest["hub_errors"] == [{"hub": hubs[1], "error": "reader defect"}]
+    assert manifest["hub_errors"] == [{"hub": hubs[1], "type": "AttributeError",
+                                       "error": "reader defect"}]
     assert manifest["counts"]["hub_errors"] == 1
     assert [(os.path.basename(r["url1"]), os.path.basename(r["url2"]))
             for r in manifest["pairs"]] == [("one-en.html", "one-es.html"),

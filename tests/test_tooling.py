@@ -7,19 +7,21 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "webbitext")
 
 
-def test_package_has_no_assert_statements():
-    # ``python -O`` strips assert, so an invariant checked with one goes
-    # unchecked there; the package raises instead.
-    found = []
+def _sources():
+    """(path under the package, parsed module) of every package source."""
     for dirpath, _, names in os.walk(SRC):
         for name in sorted(n for n in names if n.endswith(".py")):
             path = os.path.join(dirpath, name)
             with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=path)
-            found += ["%s:%d" % (os.path.relpath(path, SRC), node.lineno)
-                      for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert found == []
+                yield os.path.relpath(path, SRC), ast.parse(fh.read(), filename=path)
 
+
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips assert, so an invariant checked with one goes
+    # unchecked there; the package raises instead.
+    found = ["%s:%d" % (name, node.lineno) for name, tree in _sources()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def _swallows(handler):
@@ -39,13 +41,24 @@ def _swallows(handler):
 
 def test_broad_exception_handlers_keep_their_error():
     # A broad handler that drops its exception hides any defect behind it.
+    found = ["%s:%d" % (name, node.lineno) for name, tree in _sources()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ExceptHandler) and _swallows(node)]
+    assert found == []
+
+
+def test_only_write_atomic_renames_files():
+    # One atomic writer: every temp-file-plus-rename goes through it.
     found = []
-    for dirpath, _, names in os.walk(SRC):
-        for name in sorted(n for n in names if n.endswith(".py")):
-            path = os.path.join(dirpath, name)
-            with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=path)
-            found += ["%s:%d" % (os.path.relpath(path, SRC), node.lineno)
-                      for node in ast.walk(tree)
-                      if isinstance(node, ast.ExceptHandler) and _swallows(node)]
+    for name, tree in _sources():
+        allowed = set()
+        if name == "fetch.py":
+            writer, = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+                       and f.name == "write_atomic"]
+            allowed = set(ast.walk(writer))
+        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("replace", "rename")
+                  and isinstance(node.value, ast.Name) and node.value.id == "os"
+                  and node not in allowed]
     assert found == []
