@@ -35,6 +35,22 @@ costs.  Band cells get the full table's values bit for bit wherever
 their best path stays inside the band, so the ops chosen below are
 exactly the full program's.
 
+Memory is bounded by keeping only some rows (Grice, Hughey & Speck
+1997, "Reduced space sequence alignment", a simpler relative of Myers &
+Miller 1988, "Optimal alignments in linear space").  The fill runs from
+the last row up in blocks of B rows and keeps the top block whole and,
+of every other block, its last row.  The forward walk then refills each
+later block once, in order, from the row kept below it, with the same
+float operations in the same order, so the ops do not change.  B is
+n + 1, one block and no refill, when the band's (n + 1) x width float64
+values fit ``_BLOCK_BYTES`` (16 MB), as they do for a page and its
+translation.  Otherwise B = ceil(sqrt n) and the rows held come to about
+2 sqrt(n) x width x 8 bytes: about 8 MB for two unrelated 6k-token
+pages and 16 MB at 10k x 10k tokens, whose whole tables take 321 MB and
+763 MB.  At full width a refill starts at the walk's column, since a
+suffix cell reads only cells to its right, so the refills of an alien
+pair cost about half its fill.
+
 Among equal-cost alignments the one with the fewest gap tokens is chosen
 (so the mismatch count is a canonical, symmetric quantity); remaining
 ties break Match > Pair > GapLeft > GapRight scanning left to right,
@@ -43,6 +59,7 @@ purely for determinism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +80,17 @@ _GAP_DP = _GAP_TRUE + _GAP_EPS
 
 _INF = float("inf")
 
+# Bytes of float64 rows that one block may hold.  A pass whose whole band
+# fits is one block, filled once; a larger one keeps about 2 sqrt(n) rows.
+_BLOCK_BYTES = 16 * 2 ** 20
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class AlignOp:
-    """One alignment edge; a gap op has None on its absent side."""
+    """One alignment edge; a gap op has None on its absent side.
+
+    Slotted for cheap construction, so an op is mutable and unhashable.
+    """
 
     kind: str
     left_index: int | None = None
@@ -158,43 +182,94 @@ def _diagonal_cost(left_codes, right_codes):
     return cost + abs(len(left_codes) - len(right_codes)) * _GAP_DP
 
 
+def _block_rows(n, width):
+    """Rows per block: all n + 1 when they fit the budget, else ceil(sqrt n)."""
+    if (n + 1) * width * 8 <= _BLOCK_BYTES:
+        return n + 1
+    return math.isqrt(max(n - 1, 0)) + 1
+
+
+def _next_row(code, nxt, a, up, r_len, r_tag, steps, out=None):
+    """Band row i at columns a .. a + len(nxt) - 1, into ``out``.
+
+    ``nxt`` is row i + 1, whose band starts ``up`` (0 or 1) columns later.
+    """
+    width = len(nxt)
+    b = a + width - 1 + up  # substitutions needed for columns a .. b-1
+    sub = _row_costs(code, r_len[a:b], r_tag[a:b])
+    # Consume left token i at column j: substitution or a left gap.
+    if up:
+        base = nxt + sub
+        base[1:] = np.minimum(base[1:], nxt[:-1] + _GAP_DP)
+    else:
+        base = np.empty(width, dtype=np.float64)
+        base[:-1] = np.minimum(nxt[1:] + sub, nxt[:-1] + _GAP_DP)
+        base[-1] = nxt[-1] + _GAP_DP
+    # Right gaps before that: dp[i, j] = min_{k>=j} base[k] + (k-j)*gap.
+    keyed = base + steps[a:a + width]
+    np.minimum.accumulate(keyed[::-1], out=keyed[::-1])
+    return np.subtract(keyed, steps[a:a + width], out=out)
+
+
 def _suffix_costs(left_codes, r_len, r_tag, shift, width):
-    """Suffix-cost table over a diagonal band of ``width`` columns per row.
+    """Suffix-cost band of ``width`` columns per row, kept in blocks.
 
     Row i holds dp[i, j] = min cost aligning left[i:] with right[j:] for
     the columns start[i] .. start[i] + width - 1, where start[i] is
     i + shift clamped to [0, m + 1 - width]; cells outside the band count
-    as unreachable.  Returns (start, table).  Steps are indexed by
-    absolute column and the float operations run in the full table's
-    order, so a cell whose best path stays in the band gets the full
-    table's value bit for bit, and any other cell a value no smaller.
+    as unreachable.  Steps are indexed by absolute column and the float
+    operations run in the full table's order, so a cell whose best path
+    stays in the band gets the full table's value bit for bit, and any
+    other cell a value no smaller.
+
+    The rows are filled from n down to 0 and split into blocks of
+    ``_block_rows`` rows: block k is rows kB .. min(kB + B, n).  Returns
+    (start, marks, rows): ``rows`` holds block 0, and ``marks`` maps the
+    last row of every later block to its values, from which ``_refill``
+    recomputes that block.
     """
     n, m = len(left_codes), len(r_len)
     top = m + 1 - width
     start = [min(max(i + shift, 0), top) for i in range(n + 1)]
+    span = _block_rows(n, width)
+    kept = min(span, n)
     steps = np.arange(m + 1, dtype=np.float64) * _GAP_DP
-    dp = np.empty((n + 1, width), dtype=np.float64)
+    rows = np.empty((kept + 1, width), dtype=np.float64)
     a = start[n]
-    dp[n] = np.arange(m - a, m - a - width, -1, dtype=np.float64) * _GAP_DP
+    row = np.arange(m - a, m - a - width, -1, dtype=np.float64) * _GAP_DP
+    marks = {}
+    if n > kept:
+        marks[n] = row
+    else:
+        rows[n] = row
     for i in range(n - 1, -1, -1):
         a = start[i]
-        up = start[i + 1] - a  # 1 when the next row's band starts one later
-        nxt = dp[i + 1]
-        b = a + width - 1 + up  # substitutions needed for columns a .. b-1
-        sub = _row_costs(left_codes[i], r_len[a:b], r_tag[a:b])
-        # Consume left token i at column j: substitution or a left gap.
-        if up:
-            base = nxt + sub
-            base[1:] = np.minimum(base[1:], nxt[:-1] + _GAP_DP)
-        else:
-            base = np.empty(width, dtype=np.float64)
-            base[:-1] = np.minimum(nxt[1:] + sub, nxt[:-1] + _GAP_DP)
-            base[-1] = nxt[-1] + _GAP_DP
-        # Right gaps before that: dp[i, j] = min_{k>=j} base[k] + (k-j)*gap.
-        keyed = base + steps[a:a + width]
-        np.minimum.accumulate(keyed[::-1], out=keyed[::-1])
-        dp[i] = keyed - steps[a:a + width]
-    return start, dp
+        row = _next_row(left_codes[i], row, a, start[i + 1] - a, r_len, r_tag,
+                        steps, rows[i] if i <= kept else None)
+        if i > kept and i % span == 0:
+            marks[i] = row
+    return start, marks, rows
+
+
+def _refill(left_codes, r_len, r_tag, start, marks, rows, first, col):
+    """Recompute the block whose first row is ``first`` into ``rows``.
+
+    Returns the view of ``rows`` that holds it.  At full width a suffix
+    cell reads only cells to its right, so ``col`` > 0 (full width only)
+    fills just the columns from ``col`` on and moves ``start`` there for
+    the block's rows; the values are those of the first fill, bit for bit.
+    """
+    last = min(first + len(rows) - 1, len(start) - 1)
+    if col:
+        start[first:last + 1] = [col] * (last + 1 - first)
+    block = rows[:last + 1 - first, :rows.shape[1] - col]
+    block[-1] = marks[last][col:]
+    steps = np.arange(len(r_len) + 1, dtype=np.float64) * _GAP_DP
+    for i in range(last - 1, first - 1, -1):
+        a = start[i]
+        _next_row(left_codes[i], block[i + 1 - first], a, start[i + 1] - a,
+                  r_len, r_tag, steps, block[i - first])
+    return block
 
 
 def align(left, right):
@@ -224,19 +299,21 @@ def align(left, right):
         w = int((bound - delta) // 2) + 1
         width = min(delta + 2 * w + 1, m + 1)
     if width < m + 1:
-        start, dp = _suffix_costs(lc, r_len, r_tag, min(0, m - n) - w, width)
+        start, marks, rows = _suffix_costs(lc, r_len, r_tag,
+                                           min(0, m - n) - w, width)
         # The optimum is at most the diagonal bound, and a path that
         # leaves the band has at least delta + 2(w + 1) > bound + 2 gaps,
         # so this check always passes; it guards the exactness claim.
-        if not dp[0, 0] < delta + 2 * (w + 1) - slack:
+        if not rows[0, 0] < delta + 2 * (w + 1) - slack:
             width = m + 1
-            del dp
+            del marks, rows
     if width == m + 1:
-        start, dp = _suffix_costs(lc, r_len, r_tag, 0, width)
+        start, marks, rows = _suffix_costs(lc, r_len, r_tag, 0, width)
+    block, first, last, cols = rows, 0, len(rows) - 1, width
 
     def at(i, j):
         k = j - start[i]
-        return dp[i, k] if 0 <= k < width else _INF
+        return block[i - first, k] if 0 <= k < cols else _INF
 
     # Forward walk; recomputing candidates keeps tie preference explicit.
     ops = []
@@ -244,6 +321,11 @@ def align(left, right):
     cost = 0.0
     i = j = 0
     while i < n or j < m:
+        if i == last < n:  # the walk leaves this block: refill the next
+            first = i
+            block = _refill(lc, r_len, r_tag, start, marks, rows, i,
+                            j if width == m + 1 else 0)
+            last, cols = first + len(block) - 1, block.shape[1]
         best = None  # (dp value, preference, kind, true cost)
         if i < n and j < m:
             sc = _sub_cost(lc[i], rc[j])

@@ -60,12 +60,13 @@ _RAWTEXT_END = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
     """One scanner event; ``offset`` is the char position in the input.
 
     ``attr_text`` is a start tag's source between its name and ``>``; it is
-    parsed only when ``attrs`` is read.
+    parsed only when ``attrs`` is read.  Slotted for cheap construction,
+    so an event is mutable and unhashable.
     """
 
     kind: str

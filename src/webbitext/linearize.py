@@ -31,12 +31,13 @@ _META_CHARSET_RE = re.compile(
     rb"""<meta[^>]+charset\s*=\s*["']?([a-zA-Z0-9_.:-]+)""", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     """One element of a linearized document.
 
     ``label`` is set for start/end tokens; ``length`` and ``text`` for
-    chunks.  ``offset`` locates the token in the decoded source.
+    chunks.  ``offset`` locates the token in the decoded source.  Slotted
+    for cheap construction, so a token is mutable and unhashable.
     """
 
     kind: str

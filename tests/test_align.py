@@ -1,6 +1,7 @@
 """Aligner tests against an exact-arithmetic brute-force oracle."""
 
 import importlib
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from webbitext import ChunkPairSet, align, chunk_pairs, mismatch_ratio
 from webbitext.align import (GAP_LEFT, GAP_RIGHT, MATCH, PAIR, AlignOp,
@@ -419,9 +420,9 @@ def band_passes(monkeypatch):
     fill = _align_module._suffix_costs
 
     def spy(lt, r_len, *args):
-        start, dp = fill(lt, r_len, *args)
+        start, marks, dp = fill(lt, r_len, *args)
         passes.append((dp.shape[1], len(r_len) + 1))
-        return start, dp
+        return start, marks, dp
 
     monkeypatch.setattr(_align_module, "_suffix_costs", spy)
     return passes
@@ -563,6 +564,69 @@ def test_same_skeleton_alignment_stores_a_small_part_of_the_table():
     finally:
         tracemalloc.stop()
     assert peak < 0.05 * table_bytes
+
+
+# --- rows kept in blocks -----------------------------------------------------
+
+@st.composite
+def _blocked_cases(draw):
+    """Random pairs (mostly full width) or edited same-skeleton ones (banded)."""
+    if draw(st.booleans()):
+        return draw(_token_seqs(max_len=30)), draw(_token_seqs(max_len=30))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    left, right = same_skeleton_pair(rng, draw(st.integers(1, 12)))
+    return (edited(rng, left, draw(st.integers(0, 3))),
+            edited(rng, right, draw(st.integers(0, 3))))
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+@settings(max_examples=150, deadline=None)
+@given(_blocked_cases())
+@example(([], []))
+@example(([], [chunk_token("ab"), start_token("P")]))
+@example(([end_token("P"), chunk_token("ab")], []))
+def test_blocked_rows_give_the_unblocked_alignment_bit_for_bit(
+        one_row_blocks, case):
+    # With no budget every pass is blocked: ceil(sqrt n) rows per block,
+    # or one row per block, so the walk refills a block at every row.
+    left, right = case
+    whole = align(doc(left), doc(right))
+    want = reference_align(doc(left), doc(right))
+    refills = []
+    refill = _align_module._refill
+
+    def spy(*args):
+        refills.append(args[-2])
+        return refill(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_align_module, "_BLOCK_BYTES", 0)
+        mp.setattr(_align_module, "_refill", spy)
+        if one_row_blocks:
+            mp.setattr(_align_module, "_block_rows", lambda n, width: 1)
+        got = align(doc(left), doc(right))
+    for other in (whole, want):
+        assert got.ops == other.ops
+        assert got.mismatch_count == other.mismatch_count
+        assert got.cost.hex() == other.cost.hex()
+    # The walk refills every block but the first, once, in order.
+    span = 1 if one_row_blocks else max(1, math.ceil(math.sqrt(len(left))))
+    assert refills == list(range(span, len(left), span))
+
+
+def test_alien_alignment_holds_a_small_part_of_its_table():
+    # Disjoint tags make every diagonal pairing illegal, so the pass runs
+    # at full width: the whole table would be 10001 x 10001 x 8 = 763 MB.
+    left = [t for _ in range(3334) for t in block("P", 40)][:10000]
+    right = [t for _ in range(3334) for t in block("TD", 60)][:10000]
+    tracemalloc.start()
+    try:
+        a = align(doc(left), doc(right))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.total_tokens == 20000 and a.mismatch_count >= 10000
+    assert peak < 40 * 2 ** 20
 
 
 # --- the substitution rule's two forms --------------------------------------
