@@ -121,16 +121,19 @@ def _charset_param(params):
 class PageCache:
     """Content-addressed body store plus one JSON entry file per locator.
 
-    A body of SHA-256 ``d`` is ``objects/<d[:2]>/<d>``, and the entry of a
+    A body of SHA-256 ``d`` is ``objects/<d[:2]>/<d>``, the entry of a
     locator of SHA-256 ``h`` is ``index/<h[:2]>/<h>``, its ``FetchResult``
-    as JSON.  Atomic writes keep concurrent runs' entries and leave a killed
-    run's cache whole; opening it removes what dead writers left behind.
+    as JSON, and the pipeline keeps each evaluated pair's verdict under
+    its key ``k`` as ``verdicts/<k>``.  Atomic writes keep concurrent runs'
+    entries and leave a killed run's cache whole; opening it removes what
+    dead writers left behind.
     """
 
     def __init__(self, root):
         self.root = str(root)
         self.objects_dir = os.path.join(self.root, "objects")
         self.index_path = os.path.join(self.root, "index")
+        self.verdicts_dir = os.path.join(self.root, "verdicts")
         os.makedirs(self.objects_dir, exist_ok=True)
         os.makedirs(self.index_path, exist_ok=True)
         if os.name == "posix":  # elsewhere os.kill(pid, 0) ends the process
@@ -139,8 +142,10 @@ class PageCache:
     def _remove_leftovers(self):
         """Delete the temp files of this host's writers that have died."""
         ours = re.compile(r"\.tmp\.%s\.(\d+)\.\d+$" % re.escape(socket.gethostname()))
-        for top in (self.objects_dir, self.index_path):
-            for name in glob.glob(os.path.join("*", "*.tmp.*"), root_dir=top):
+        for top, pattern in ((self.objects_dir, os.path.join("*", "*.tmp.*")),
+                             (self.index_path, os.path.join("*", "*.tmp.*")),
+                             (self.verdicts_dir, "*.tmp.*")):
+            for name in glob.glob(pattern, root_dir=top):
                 match = ours.search(name)
                 if not match:  # not a temp file of this host
                     continue
@@ -158,6 +163,11 @@ class PageCache:
 
     def body_path(self, digest):
         return os.path.join(self.objects_dir, digest[:2], digest)
+
+    def verdict_path(self, key):
+        # One flat directory: entries are only ever opened by name, and a
+        # bucket directory per entry would cost a cold run a mkdir per pair.
+        return os.path.join(self.verdicts_dir, key)
 
     def store_body(self, body):
         digest = hashlib.sha256(body).hexdigest()

@@ -10,9 +10,19 @@ write plain files under one output directory:
                    written as the pair is evaluated (a failed write makes
                    that pair an error)
   manifest.json    per-disposition counts and per-pair outcomes
-  run_info.json    wall-clock timestamps (kept out of the manifest so two
-                   runs over the same corpus produce byte-identical
-                   manifests)
+  run_info.json    wall-clock timestamps and how many verdicts were reused
+                   from the page cache or evaluated (kept out of the
+                   manifest so two runs over the same corpus produce
+                   byte-identical manifests)
+
+Each evaluated pair's verdict is kept in the page cache as one entry,
+``verdicts/<k>``: its record fields and, when accepted, its
+segments text.  The key ``k`` hashes everything that decides the verdict:
+both locators, body digests and header charsets, the evaluator's
+thresholds, the language filter's model bytes and expected tags, and this
+package's source with the Python and numpy versions.  A later run whose
+key matches reuses the entry instead of evaluating the pair again, so a
+rerun over a filled cache evaluates nothing; an error is never kept.
 
 Dispositions conserve: generated = identical + unretrievable + non_html
 + evaluated + errors, and evaluated = accepted + rejected (+
@@ -25,13 +35,17 @@ single space.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
 import itertools
 import json
 import os
 import pathlib
+import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .candidates import CandidatePair, GeneratorConfig, extract_candidates
 from .evaluate import EvaluatorConfig, evaluate_pair
@@ -134,7 +148,10 @@ def _escape_field(text):
 
 
 def write_segments(report, path):
-    """Write one accepted pair's aligned segments as a TSV file."""
+    """Write one accepted pair's aligned segments as a TSV file.
+
+    Returns the text written.
+    """
     if not report.accepted:
         raise ValueError("segments are only written for accepted pairs")
     lines = []
@@ -147,7 +164,9 @@ def write_segments(report, path):
             _escape_field(seg.left_text),
             _escape_field(seg.right_text),
         ]))
-    write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
+    text = "".join(line + "\n" for line in lines)
+    write_atomic(path, text.encode("utf-8"))
+    return text
 
 
 def candidates_tsv(pairs):
@@ -196,7 +215,7 @@ def read_hub(fetcher, locator):
 _REPORT_FIELDS = ("reject_reason", "mismatch_ratio", "r", "n", "p")
 
 
-def _evaluate_job(left, right, segments_path, evaluator, langid):
+def _evaluate_job(left, right, segments_path, verdict_path, evaluator, langid):
     """Finish one pair from its cached bodies: its record fields.
 
     ``left`` and ``right`` are (locator, body path, header charset), so a
@@ -204,9 +223,12 @@ def _evaluate_job(left, right, segments_path, evaluator, langid):
     ``langid`` is None, or (models, expected language tags) to run the
     language filter over an accepted pair's segment texts.  An accepted
     pair that passes it has its segments written to ``segments_path``.
-    When anything raises, the segments write included, the pair is an
-    error with the exception's message as its reason.
+    Then the verdict entry, the fields and the segments text, is written
+    to ``verdict_path``.  When anything raises, either write included, the
+    pair is an error with the exception's message as its reason, and no
+    entry or segments file of it is left.
     """
+    segments = None
     try:
         docs = [linearize(pathlib.Path(path).read_bytes(), source_id=url,
                           encoding=charset)
@@ -221,11 +243,18 @@ def _evaluate_job(left, right, segments_path, evaluator, langid):
                     expected, models):
                 disposition = DISP_LANG_FILTERED
         if disposition == DISP_ACCEPTED:
-            write_segments(report, segments_path)
+            segments = write_segments(report, segments_path)
         fields = report.to_dict()
-        return dict({key: fields[key] for key in _REPORT_FIELDS},
-                    disposition=disposition)
+        fields = dict({key: fields[key] for key in _REPORT_FIELDS},
+                      disposition=disposition)
+        entry = {"fields": fields, "segments": segments}
+        write_atomic(verdict_path, json.dumps(
+            entry, sort_keys=True, ensure_ascii=False).encode("utf-8"))
+        return fields
     except Exception as err:
+        if segments is not None:  # only the entry write failed
+            with contextlib.suppress(OSError):
+                os.remove(segments_path)
         return {"disposition": DISP_ERROR, "reject_reason": str(err)}
 
 
@@ -239,11 +268,13 @@ def _init_worker(langid):
     _worker_langid = langid
 
 
-def _worker_job(left, right, segments_path, evaluator):
-    return _evaluate_job(left, right, segments_path, evaluator, _worker_langid)
+def _worker_job(left, right, segments_path, verdict_path, evaluator):
+    return _evaluate_job(left, right, segments_path, verdict_path, evaluator,
+                         _worker_langid)
 
 
-def _evaluate_all(lefts, rights, segment_paths, evaluator, jobs, langid):
+def _evaluate_all(lefts, rights, segment_paths, verdict_paths, evaluator, jobs,
+                  langid):
     """The record fields of each pair, in input order.
 
     Linearize, align, the statistics and the language filter (when
@@ -258,7 +289,7 @@ def _evaluate_all(lefts, rights, segment_paths, evaluator, jobs, langid):
     workers = min(jobs, len(lefts))
     if workers <= 1:
         return list(map(_evaluate_job, lefts, rights, segment_paths,
-                        evaluators, itertools.repeat(langid)))
+                        verdict_paths, evaluators, itertools.repeat(langid)))
     # Imported here: only a run that starts a pool needs multiprocessing.
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
@@ -267,12 +298,73 @@ def _evaluate_all(lefts, rights, segment_paths, evaluator, jobs, langid):
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(langid,)) as pool:
             outcomes.extend(pool.map(_worker_job, lefts, rights, segment_paths,
-                                     evaluators))
+                                     verdict_paths, evaluators))
     except BrokenProcessPool as err:
         error = {"disposition": DISP_ERROR,
                  "reject_reason": "evaluation worker died: %s" % err}
         outcomes += [error] * (len(lefts) - len(outcomes))
     return outcomes
+
+
+@functools.cache
+def _code_fingerprint():
+    """This package's source and the runtime that runs it, for verdict keys.
+
+    The SHA-256 over every ``*.py`` module of the package in name order,
+    with the Python and numpy versions: any code change gives new keys.
+    Computed once per process, on first use, never at import.
+    """
+    import numpy  # loaded already: align and stats use it
+
+    digest = hashlib.sha256()
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode("utf-8") + b"\0"
+                      + hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest(), sys.version, numpy.__version__
+
+
+def _verdict_scope(cfg):
+    """What decides every pair's verdict in this run, besides the pair."""
+    langid = None
+    if cfg.langid_filter:
+        langid = {"models": [hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest()
+                             for p in cfg.langid_model_paths],
+                  "expected_langs": list(cfg.expected_langs)}
+    return {"code": _code_fingerprint(),
+            "evaluator": asdict(cfg.evaluator),
+            "evaluator_class": type(cfg.evaluator).__name__,
+            "langid": langid}
+
+
+def _verdict_key(scope, r1, r2):
+    """The cache key of one pair's verdict: SHA-256 of canonical JSON."""
+    doc = dict(scope, url1=r1.url, url2=r2.url, digest1=r1.digest,
+               digest2=r2.digest, charset1=r1.charset, charset2=r2.charset)
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _read_verdict(path):
+    """The verdict entry at ``path``, or None: one that cannot be read misses."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        return None
+
+
+def _reuse(entry, segments_path):
+    """The record fields of a stored verdict, with its segments file written.
+
+    A segments file that cannot be written makes the pair an error, as it
+    does when the pair is evaluated.
+    """
+    fields = entry["fields"]
+    if fields["disposition"] == DISP_ACCEPTED:
+        try:
+            write_atomic(segments_path, entry["segments"].encode("utf-8"))
+        except OSError as err:
+            return {"disposition": DISP_ERROR, "reject_reason": str(err)}
+    return fields
 
 
 class ConservationError(RuntimeError):
@@ -361,30 +453,51 @@ def triage(pair, results):
 
 
 def evaluate_records(records, results, cache, cfg):
-    """Evaluate every record triage left open, each pair in its own job.
+    """Settle every record triage left open, each pair once.
 
-    The job reads the pair's bodies from ``cache`` by digest and writes an
-    accepted pair's segments under ``cfg.out_dir``; this fills in the
-    fields it returns and the segments file name.  The language models are
-    loaded first, so a bad model file raises before any pair is evaluated.
+    A pair whose verdict entry is in ``cache`` takes its fields from it,
+    and an accepted one gets its segments file under ``cfg.out_dir`` from
+    the entry's text.  Every other pair is evaluated in its own job, which
+    reads the bodies from ``cache`` by digest, writes an accepted pair's
+    segments file and stores the verdict entry.  A segments file that
+    cannot be written makes its pair an error either way.  The language
+    models are loaded before any pair is evaluated, so a bad model file
+    raises first, and only when some pair has no entry.  Returns the
+    number of verdicts reused and evaluated.
     """
     def side(url):
         return url, cache.body_path(results[url].digest), results[url].charset
 
-    langid = None
-    if cfg.langid_filter:
-        langid = ([NgramModel.load(p) for p in cfg.langid_model_paths],
-                  cfg.expected_langs)
-    open_idx = [i for i, rec in enumerate(records) if rec["disposition"] is None]
-    names = ["segments/pair%04d.tsv" % i for i in open_idx]
-    outcomes = _evaluate_all([side(records[i]["url1"]) for i in open_idx],
-                             [side(records[i]["url2"]) for i in open_idx],
-                             [os.path.join(cfg.out_dir, n) for n in names],
-                             cfg.evaluator, cfg.jobs, langid)
-    for idx, name, fields in zip(open_idx, names, outcomes):
+    def settle(idx, fields):
         records[idx].update(fields)
         if fields["disposition"] == DISP_ACCEPTED:
-            records[idx]["segments_file"] = name
+            records[idx]["segments_file"] = names[idx]
+
+    scope = _verdict_scope(cfg)
+    open_idx = [i for i, rec in enumerate(records) if rec["disposition"] is None]
+    names = {i: "segments/pair%04d.tsv" % i for i in open_idx}
+    verdict_paths = {i: cache.verdict_path(_verdict_key(
+        scope, results[records[i]["url1"]], results[records[i]["url2"]]))
+        for i in open_idx}
+    misses = []
+    for idx in open_idx:
+        entry = _read_verdict(verdict_paths[idx])
+        if entry is None:
+            misses.append(idx)
+        else:
+            settle(idx, _reuse(entry, os.path.join(cfg.out_dir, names[idx])))
+    langid = None
+    if cfg.langid_filter and misses:
+        langid = ([NgramModel.load(p) for p in cfg.langid_model_paths],
+                  cfg.expected_langs)
+    outcomes = _evaluate_all([side(records[i]["url1"]) for i in misses],
+                             [side(records[i]["url2"]) for i in misses],
+                             [os.path.join(cfg.out_dir, names[i]) for i in misses],
+                             [verdict_paths[i] for i in misses], cfg.evaluator,
+                             cfg.jobs, langid)
+    for idx, fields in zip(misses, outcomes):
+        settle(idx, fields)
+    return {"reused": len(open_idx) - len(misses), "evaluated": len(misses)}
 
 
 def count_dispositions(records, listed, hub_errors):
@@ -407,7 +520,7 @@ def count_dispositions(records, listed, hub_errors):
     }
 
 
-def write_outputs(out_dir, manifest, started_at):
+def write_outputs(out_dir, manifest, started_at, verdicts):
     """reports.jsonl, manifest.json and run_info.json."""
     reports = "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n"
                       for r in manifest["pairs"])
@@ -415,8 +528,8 @@ def write_outputs(out_dir, manifest, started_at):
     text = json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False)
     write_atomic(os.path.join(out_dir, "manifest.json"),
                  (text + "\n").encode("utf-8"))
-    text = json.dumps({"started_at": started_at, "finished_at": time.time()},
-                      indent=2)
+    text = json.dumps({"started_at": started_at, "finished_at": time.time(),
+                       "verdicts": verdicts}, indent=2)
     write_atomic(os.path.join(out_dir, "run_info.json"),
                  (text + "\n").encode("utf-8"))
 
@@ -435,7 +548,7 @@ def run_pipeline(cfg, hubs):
     results = fetcher.fetch_many([u for p in pairs for u in (p.url1, p.url2)],
                                  cfg.jobs)
     records = [triage(pair, results) for pair in pairs]
-    evaluate_records(records, results, cache, cfg)
+    verdicts = evaluate_records(records, results, cache, cfg)
     counts = count_dispositions(records, listed, hub_errors)
     check_conservation(counts)
     manifest = {
@@ -446,7 +559,7 @@ def run_pipeline(cfg, hubs):
                         for r in records if r["disposition"] == DISP_ERROR],
         "pairs": records,
     }
-    write_outputs(cfg.out_dir, manifest, started_at)
+    write_outputs(cfg.out_dir, manifest, started_at, verdicts)
     return manifest
 
 

@@ -335,15 +335,17 @@ def test_cache_killed_mid_record_still_loads(tmp_path):
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
     # Opening the cache removes this host's temp files of the dead recorder,
-    # in objects/ and index/, and keeps a live writer's and another host's.
+    # in objects/, index/ and verdicts/ (which has no buckets), and keeps a
+    # live writer's and another host's.
     host = socket.gethostname()
     planted = {}
-    for name, top, writer, pid in [("dead", "objects", host, proc.pid),
-                                   ("dead", "index", host, proc.pid),
-                                   ("live", "index", host, os.getpid()),
-                                   ("other", "index", "x" + host, proc.pid)]:
-        os.makedirs(os.path.join(root, top, "ab"), exist_ok=True)
-        path = os.path.join(root, top, "ab", "ab%s.tmp.%s.%d.1"
+    for name, top, writer, pid in [("dead", "objects/ab", host, proc.pid),
+                                   ("dead", "index/ab", host, proc.pid),
+                                   ("dead", "verdicts", host, proc.pid),
+                                   ("live", "index/ab", host, os.getpid()),
+                                   ("other", "index/ab", "x" + host, proc.pid)]:
+        os.makedirs(os.path.join(root, top), exist_ok=True)
+        path = os.path.join(root, top, "ab%s.tmp.%s.%d.1"
                             % (name, writer, pid))
         open(path, "wb").close()
         planted[path] = name

@@ -1,8 +1,10 @@
 """Pipeline orchestration: formats, scoring, accounting, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -15,9 +17,11 @@ from webbitext import (CandidatePair, EvaluatorConfig, FetchPolicy, Fetcher,
                        GeneratorConfig, PageCache, PipelineConfig, candidates,
                        evaluate_pair, extract_candidates, linearize, load_gold,
                        pipeline, run_pipeline, score, write_segments)
-from webbitext.pipeline import (ConservationError, check_conservation,
-                                generate_candidates, read_candidates_tsv,
-                                score_report_files, write_candidates_tsv)
+from webbitext.democorpus import build_corpus
+from webbitext.pipeline import (EVALUATED, ConservationError,
+                                check_conservation, generate_candidates,
+                                read_candidates_tsv, score_report_files,
+                                write_candidates_tsv)
 
 from conftest import serve_shift_jis_hub, text_with_length
 
@@ -502,22 +506,32 @@ run_pipeline(PipelineConfig(
 """
 
 
-@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
-def test_run_killed_during_evaluation_leaves_no_torn_file(default_run,
-                                                          demo_corpus,
-                                                          tmp_path):
-    baseline, complete = default_run
-    evaluated = [r for r in baseline["pairs"]
-                 if r["disposition"] in ("accepted", "rejected")]
-    kill_at = 2 + next(i for i, r in enumerate(evaluated)
-                       if r["disposition"] == "accepted")
-    out = tmp_path / "out"
+def _killed_run(demo_corpus, out, kill_at):
+    """Run _KILLED_RUN into ``out``, killed as evaluation call ``kill_at`` starts."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(webbitext.__file__)))
     proc = subprocess.run([sys.executable, "-c", _KILLED_RUN, str(kill_at),
                            str(out), demo_corpus["hubs_file"]],
                           env=env, timeout=120)
     assert proc.returncode == -signal.SIGKILL
+
+
+def _kill_point(baseline):
+    """The evaluated records, and a call number just after the first accept."""
+    evaluated = [r for r in baseline["pairs"]
+                 if r["disposition"] in ("accepted", "rejected")]
+    return evaluated, 2 + next(i for i, r in enumerate(evaluated)
+                               if r["disposition"] == "accepted")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_run_killed_during_evaluation_leaves_no_torn_file(default_run,
+                                                          demo_corpus,
+                                                          tmp_path):
+    baseline, complete = default_run
+    evaluated, kill_at = _kill_point(baseline)
+    out = tmp_path / "out"
+    _killed_run(demo_corpus, out, kill_at)
     left = _tree_bytes(out)
     assert not [name for name in left if ".tmp." in name]
     assert {"reports.jsonl", "manifest.json", "run_info.json"}.isdisjoint(left)
@@ -530,6 +544,20 @@ def test_run_killed_during_evaluation_leaves_no_torn_file(default_run,
     expected = _tree_bytes(complete)
     assert segments == {name: expected[name] for name in segments}
     assert left["candidates.tsv"] == expected["candidates.tsv"]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_rerun_after_a_kill_reuses_the_finished_pairs(default_run, demo_corpus,
+                                                      tmp_path):
+    baseline, complete = default_run
+    evaluated, kill_at = _kill_point(baseline)
+    out = tmp_path / "out"
+    _killed_run(demo_corpus, out, kill_at)
+    run_pipeline(corpus_config(demo_corpus, out, jobs=1), read_hubs(demo_corpus))
+    files, manifest, verdicts = _run_files(out, "cache")
+    assert verdicts == {"reused": kill_at - 1,
+                        "evaluated": len(evaluated) - (kill_at - 1)}
+    assert (files, manifest) == _run_files(complete, "cache")[:2]
 
 
 @dataclass
@@ -567,28 +595,41 @@ def test_worker_that_dies_leaves_error_dispositions(default_run, demo_corpus,
     assert len(manifest["pair_errors"]) == counts["errors"]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_header_charset_reaches_the_decoder(stub_server, tmp_path, jobs):
-    phrase = "日本語のテキストです"
+_PHRASE = "日本語のテキストです"
+
+
+def _serve_english_japanese(server):
+    """Two English/Japanese pairs that an en/ja run accepts; returns the hubs.
+
+    Each Japanese page is Shift_JIS and names its charset in the header
+    only, and its first paragraph is ``_PHRASE`` once.
+    """
     hubs = []
     for i in (1, 2):
         en = "<HTML><TITLE>Page %d</TITLE><BODY>" % i
         ja = "<HTML><TITLE>ページ %d</TITLE><BODY>" % i
         for k in range(1, 7):
             en += "<P>%s</P>" % text_with_length("", 11 * k + i)
-            ja += "<P>%s</P>" % (phrase * k)
-        stub_server.add_page("/en%d.html" % i, en)
+            ja += "<P>%s</P>" % (_PHRASE * k)
+        server.add_page("/en%d.html" % i, en)
         # The charset is in the header only; the page declares none.
-        stub_server.add_page("/ja%d.html" % i, ja.encode("shift_jis"),
-                             "text/html; charset=Shift_JIS")
-        stub_server.add_page("/hub%d.html" % i,
-                             '<A HREF="/en%d.html">English</A> '
-                             '<A HREF="/ja%d.html">Japanese</A>' % (i, i))
-        hubs.append(stub_server.base_url + "/hub%d.html" % i)
+        server.add_page("/ja%d.html" % i, ja.encode("shift_jis"),
+                        "text/html; charset=Shift_JIS")
+        server.add_page("/hub%d.html" % i,
+                        '<A HREF="/en%d.html">English</A> '
+                        '<A HREF="/ja%d.html">Japanese</A>' % (i, i))
+        hubs.append(server.base_url + "/hub%d.html" % i)
+    return hubs
+
+
+_EN_JA = GeneratorConfig(frozenset({"english"}), frozenset({"japanese"}))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_header_charset_reaches_the_decoder(stub_server, tmp_path, jobs):
+    hubs = _serve_english_japanese(stub_server)
     cfg = PipelineConfig(
-        generator=GeneratorConfig(frozenset({"english"}),
-                                  frozenset({"japanese"})),
-        fetch=FetchPolicy(min_interval=0.0, timeout=5.0),
+        generator=_EN_JA, fetch=FetchPolicy(min_interval=0.0, timeout=5.0),
         out_dir=str(tmp_path / "out"), jobs=jobs)
     manifest = run_pipeline(cfg, hubs)
     assert manifest["counts"]["accepted"] == 2
@@ -596,7 +637,7 @@ def test_header_charset_reaches_the_decoder(stub_server, tmp_path, jobs):
         with open(tmp_path / "out" / record["segments_file"],
                   encoding="utf-8") as fh:
             first_paragraph = fh.read().splitlines()[1].split("\t")
-        assert first_paragraph[5] == phrase and len(phrase) == 10
+        assert first_paragraph[5] == _PHRASE and len(_PHRASE) == 10
 
 
 def test_hub_header_charset_reaches_candidate_extraction(stub_server,
@@ -622,3 +663,137 @@ def test_conservation_check_raises_on_counts_that_do_not_add_up():
         check_conservation(dict(counts, generated=11))
     with pytest.raises(ConservationError, match="evaluated 5 != 6"):
         check_conservation(dict(counts, accepted=4))
+
+
+def _run_files(out, *skip):
+    """What a run wrote to ``out``: (files, manifest, verdict counts).
+
+    ``files`` maps every other file's relative path to its bytes, leaving
+    out run_info.json and the top-level entries named in ``skip``; the
+    manifest is parsed, without config.jobs.
+    """
+    files = {name: data for name, data in _tree_bytes(out).items()
+             if name.split(os.sep)[0] not in skip}
+    verdicts = json.loads(files.pop("run_info.json"))["verdicts"]
+    manifest = json.loads(files.pop("manifest.json"))
+    manifest["config"].pop("jobs")
+    return files, manifest, verdicts
+
+
+def _langid(models, expected=("en", "es")):
+    return dict(langid_filter=True, langid_model_paths=tuple(models),
+                expected_langs=expected)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("langid_filter", [False, True])
+def test_reruns_over_a_shared_cache_reuse_every_verdict(
+        demo_corpus, lang_models, tmp_path, jobs, langid_filter):
+    langid = _langid(lang_models) if langid_filter else {}
+    runs = []
+    for name in ("one", "two", "three"):
+        run_pipeline(corpus_config(demo_corpus, tmp_path / name, jobs=jobs,
+                                   cache_dir=str(tmp_path / "cache"), **langid),
+                     read_hubs(demo_corpus))
+        runs.append(_run_files(tmp_path / name))
+    assert [verdicts for _, _, verdicts in runs] == \
+        [{"reused": 0, "evaluated": 24}] + [{"reused": 24, "evaluated": 0}] * 2
+    files, manifest, _ = runs[0]
+    assert len([name for name in files if name.startswith("segments")]) == \
+        (12 if langid_filter else 13)
+    for other in runs[1:]:
+        assert other[:2] == (files, manifest)
+
+
+_KEY_PARTS = ["k", "p_threshold", "min_pairs", "model_bytes", "expected_langs",
+              "langid_filter", "page_body", "header_charset"]
+
+
+@pytest.mark.parametrize("part", _KEY_PARTS)
+def test_a_changed_key_part_reevaluates_the_pairs_it_decides(
+        part, demo_corpus, lang_models, stub_server, tmp_path):
+    models = [shutil.copy(path, tmp_path) for path in lang_models]
+    generator = corpus_config(demo_corpus, tmp_path).generator
+    hubs = read_hubs(demo_corpus)
+    before, after = {}, {}
+    if part in ("k", "p_threshold", "min_pairs"):
+        value = {"k": 0.3, "p_threshold": 0.01, "min_pairs": 4}[part]
+        after = {"evaluator": EvaluatorConfig(**{part: value})}
+    elif part == "model_bytes":
+        before = after = _langid(models)
+    elif part == "expected_langs":
+        before, after = _langid(models), _langid(models, ("es", "en"))
+    elif part == "langid_filter":
+        after = _langid(models)
+    elif part == "page_body":
+        corpus = build_corpus(str(tmp_path / "corpus"))
+        hubs = read_hubs(corpus)
+        changed = corpus["expected_accept_default"][0].split(" ")[0]
+    else:
+        generator, hubs = _EN_JA, _serve_english_japanese(stub_server)
+        changed = stub_server.base_url + "/ja1.html"
+
+    def run(name, cache, settings):
+        run_pipeline(PipelineConfig(
+            generator=generator, fetch=FetchPolicy(min_interval=0.0, timeout=5.0),
+            out_dir=str(tmp_path / name), cache_dir=str(tmp_path / cache),
+            jobs=2, **settings), hubs)
+        return _run_files(tmp_path / name)
+
+    run("first", "cache", before)
+    if part == "model_bytes":  # the same model, written with other bytes
+        with open(models[0], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        with open(models[0], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+    elif part == "page_body":
+        with open(changed, "ab") as fh:
+            fh.write(b"\n<!-- edited -->\n")
+    elif part == "header_charset":  # served, and refetched, without one
+        _, _, body = stub_server.routes["/ja1.html"]
+        stub_server.add_page("/ja1.html", body, "text/html")
+        cache = PageCache(str(tmp_path / "cache"))
+        cache.record(dataclasses.replace(cache.lookup(changed), charset=""))
+    rerun = run("rerun", "cache", after)
+    fresh = run("fresh", "fresh-cache", after)
+    assert rerun[:2] == fresh[:2]
+    evaluated = fresh[2]["evaluated"]
+    affected = evaluated
+    if part in ("page_body", "header_charset"):
+        affected = sum(1 for r in fresh[1]["pairs"] if r["disposition"] in EVALUATED
+                       and changed in (r["url1"], r["url2"]))
+    assert 0 < affected and evaluated > 1
+    assert rerun[2] == {"reused": evaluated - affected, "evaluated": affected}
+
+
+def test_an_error_is_not_reused_and_the_rerun_evaluates_that_pair(
+        default_run, demo_corpus, tmp_path):
+    baseline, _ = default_run
+    first = next(r for r in baseline["pairs"] if r["disposition"] == "accepted")
+    out = tmp_path / "out"
+    os.makedirs(out / first["segments_file"])  # a directory in the file's place
+    cfg = corpus_config(demo_corpus, out, jobs=1, cache_dir=str(tmp_path / "cache"))
+    manifest = run_pipeline(cfg, read_hubs(demo_corpus))
+    assert [e["pair_id"] for e in manifest["pair_errors"]] == [first["pair_id"]]
+    os.rmdir(out / first["segments_file"])
+    manifest = run_pipeline(cfg, read_hubs(demo_corpus))
+    assert manifest["pairs"] == baseline["pairs"]
+    assert _run_files(out)[2] == {"reused": 23, "evaluated": 1}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verdict_entry_that_cannot_be_written_is_that_pairs_error(
+        default_run, demo_corpus, tmp_path, jobs):
+    baseline, _ = default_run
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "verdicts").write_bytes(b"")  # a file in the way
+    out = tmp_path / "out"
+    manifest = run_pipeline(corpus_config(demo_corpus, out, jobs=jobs,
+                                          cache_dir=str(tmp_path / "cache")),
+                            read_hubs(demo_corpus))
+    counts = manifest["counts"]
+    assert (counts["errors"], counts["evaluated"]) == \
+        (baseline["counts"]["evaluated"], 0)
+    assert "verdicts" in manifest["pair_errors"][0]["error"]
+    assert not (out / "segments").exists() or not os.listdir(out / "segments")
+    assert (out / "manifest.json").exists()
