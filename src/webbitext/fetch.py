@@ -22,6 +22,7 @@ import json
 import mimetypes
 import os
 import re
+import shutil
 import socket
 import threading
 import time
@@ -43,6 +44,9 @@ STATUS_NON_HTML = "non_html"
 _REDIRECT_CODES = {301, 302, 303, 307, 308}
 _MAX_REDIRECTS = 5
 _RETRIES = 1  # extra attempts after a request that raised
+# A verdict scope directory unused for this long is removed by the next
+# run that uses another scope of the same cache.
+VERDICT_IDLE_S = 30 * 24 * 3600
 
 
 @dataclass
@@ -123,10 +127,12 @@ class PageCache:
 
     A body of SHA-256 ``d`` is ``objects/<d[:2]>/<d>``, the entry of a
     locator of SHA-256 ``h`` is ``index/<h[:2]>/<h>``, its ``FetchResult``
-    as JSON, and the pipeline keeps each evaluated pair's verdict under
-    its key ``k`` as ``verdicts/<k>``.  Atomic writes keep concurrent runs'
-    entries and leave a killed run's cache whole; opening it removes what
-    dead writers left behind.
+    as JSON, and the verdict of an evaluated pair is
+    ``verdicts/<scope>/<key>``, where the caller's ``scope`` names what a
+    run's verdicts depend on besides the pair and ``key`` names the pair.
+    An entry that is missing or cannot be read is a miss.  Atomic writes
+    keep concurrent runs' entries and leave a killed run's cache whole;
+    opening it removes what dead writers left behind.
     """
 
     def __init__(self, root):
@@ -142,20 +148,31 @@ class PageCache:
     def _remove_leftovers(self):
         """Delete the temp files of this host's writers that have died."""
         ours = re.compile(r"\.tmp\.%s\.(\d+)\.\d+$" % re.escape(socket.gethostname()))
-        for top, pattern in ((self.objects_dir, os.path.join("*", "*.tmp.*")),
-                             (self.index_path, os.path.join("*", "*.tmp.*")),
-                             (self.verdicts_dir, "*.tmp.*")):
-            for name in glob.glob(pattern, root_dir=top):
-                match = ours.search(name)
-                if not match:  # not a temp file of this host
-                    continue
-                try:
-                    os.kill(int(match.group(1)), 0)  # signal 0 only checks
-                except ProcessLookupError:  # the writer is dead
-                    with contextlib.suppress(FileNotFoundError):  # a concurrent open won
-                        os.remove(os.path.join(top, name))
-                except PermissionError:  # alive, under another user
-                    pass
+        # Every file is <kind>/<bucket or scope>/<name>.
+        for name in glob.glob(os.path.join("*", "*", "*.tmp.*"), root_dir=self.root):
+            match = ours.search(name)
+            if not match:  # not a temp file of this host
+                continue
+            try:
+                os.kill(int(match.group(1)), 0)  # signal 0 only checks
+            except ProcessLookupError:  # the writer is dead
+                with contextlib.suppress(FileNotFoundError):  # a concurrent open won
+                    os.remove(os.path.join(self.root, name))
+            except PermissionError:  # alive, under another user
+                pass
+
+    def _load(self, path, make):
+        """``make(**entry)`` of the JSON entry at ``path``, or None when it
+        is missing or cannot be read (empty, torn or of another shape)."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return make(**json.load(fh))
+        except (OSError, ValueError, TypeError):
+            return None
+
+    def _store(self, path, doc):
+        write_atomic(path, json.dumps(doc, sort_keys=True,
+                                      ensure_ascii=False).encode("utf-8"))
 
     def _entry_path(self, url):
         h = hashlib.sha256(url.encode("utf-8")).hexdigest()
@@ -163,11 +180,6 @@ class PageCache:
 
     def body_path(self, digest):
         return os.path.join(self.objects_dir, digest[:2], digest)
-
-    def verdict_path(self, key):
-        # One flat directory: entries are only ever opened by name, and a
-        # bucket directory per entry would cost a cold run a mkdir per pair.
-        return os.path.join(self.verdicts_dir, key)
 
     def store_body(self, body):
         digest = hashlib.sha256(body).hexdigest()
@@ -177,15 +189,34 @@ class PageCache:
         return digest
 
     def record(self, result):
-        write_atomic(self._entry_path(result.url),
-                     json.dumps(asdict(result), sort_keys=True).encode("utf-8"))
+        self._store(self._entry_path(result.url), asdict(result))
 
     def lookup(self, url):
-        try:
-            with open(self._entry_path(url), encoding="utf-8") as fh:
-                return FetchResult(**json.load(fh))
-        except FileNotFoundError:
-            return None
+        return self._load(self._entry_path(url), FetchResult)
+
+    def verdict(self, scope, key):
+        return self._load(os.path.join(self.verdicts_dir, scope, key), dict)
+
+    def store_verdict(self, scope, key, entry):
+        self._store(os.path.join(self.verdicts_dir, scope, key), entry)
+
+    def use_scope(self, scope):
+        """Refresh the directory of ``scope`` and remove every other one
+        idle longer than VERDICT_IDLE_S.  A pruned entry is only a miss,
+        so what cannot be refreshed or removed is left as it is."""
+        scope_dir = os.path.join(self.verdicts_dir, scope)
+        with contextlib.suppress(OSError):
+            os.makedirs(scope_dir, exist_ok=True)
+            os.utime(scope_dir)
+            cutoff = time.time() - VERDICT_IDLE_S
+            for entry in os.scandir(self.verdicts_dir):
+                with contextlib.suppress(OSError):  # removed by another run
+                    if entry.stat().st_mtime >= cutoff:
+                        continue
+                    if entry.is_dir():
+                        shutil.rmtree(entry.path)
+                    else:  # an entry of the earlier flat layout
+                        os.remove(entry.path)
 
 
 class _NoRedirect(urllib.request.HTTPRedirectHandler):

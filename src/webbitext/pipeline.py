@@ -15,14 +15,14 @@ write plain files under one output directory:
                    manifest so two runs over the same corpus produce
                    byte-identical manifests)
 
-Each evaluated pair's verdict is kept in the page cache as one entry,
-``verdicts/<k>``: its record fields and, when accepted, its
-segments text.  The key ``k`` hashes everything that decides the verdict:
-both locators, body digests and header charsets, the evaluator's
-thresholds, the language filter's model bytes and expected tags, and this
-package's source with the Python and numpy versions.  A later run whose
-key matches reuses the entry instead of evaluating the pair again, so a
-rerun over a filled cache evaluates nothing; an error is never kept.
+Each evaluated pair's verdict is kept in the page cache as one entry: its
+record fields and, when accepted, its segments text.  A run's scope is
+one digest of what decides all its verdicts (this package's source with
+the Python and numpy versions, the evaluator's thresholds, the language
+filter's model bytes and expected tags), and a pair's key hashes both
+locators, body digests and header charsets.  A later run with the same
+scope reuses the entry instead of evaluating the pair again, so a rerun
+over a filled cache evaluates nothing; an error is never kept.
 
 Dispositions conserve: generated = identical + unretrievable + non_html
 + evaluated + errors, and evaluated = accepted + rejected (+
@@ -38,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
-import itertools
 import json
 import os
 import pathlib
@@ -215,24 +214,25 @@ def read_hub(fetcher, locator):
 _REPORT_FIELDS = ("reject_reason", "mismatch_ratio", "r", "n", "p")
 
 
-def _evaluate_job(left, right, segments_path, verdict_path, evaluator, langid):
-    """Finish one pair from its cached bodies: its record fields.
+def _evaluate_job(job, cache, scope, evaluator, langid):
+    """Finish one pair from its bodies in ``cache``: its record fields.
 
-    ``left`` and ``right`` are (locator, body path, header charset), so a
-    job sent to a worker process carries paths, never page bodies.
-    ``langid`` is None, or (models, expected language tags) to run the
-    language filter over an accepted pair's segment texts.  An accepted
-    pair that passes it has its segments written to ``segments_path``.
-    Then the verdict entry, the fields and the segments text, is written
-    to ``verdict_path``.  When anything raises, either write included, the
-    pair is an error with the exception's message as its reason, and no
-    entry or segments file of it is left.
+    ``job`` is (key, left, right, segments path), a side being (locator,
+    body digest, header charset), so a job sent to a worker process
+    carries no page body.  ``langid`` is None, or (models, expected
+    language tags) to run the language filter over an accepted pair's
+    segment texts.  An accepted pair that passes it has its segments
+    written.  Then its verdict, the fields and the segments text, is
+    stored under ``scope`` and ``key``.  When anything raises, either
+    write included, the pair is an error with the exception's message as
+    its reason, and no entry or segments file of it is left.
     """
+    key, left, right, segments_path = job
     segments = None
     try:
-        docs = [linearize(pathlib.Path(path).read_bytes(), source_id=url,
-                          encoding=charset)
-                for url, path, charset in (left, right)]
+        docs = [linearize(pathlib.Path(cache.body_path(digest)).read_bytes(),
+                          source_id=url, encoding=charset)
+                for url, digest, charset in (left, right)]
         report = evaluate_pair(docs[0], docs[1], evaluator)
         disposition = DISP_ACCEPTED if report.accepted else DISP_REJECTED
         if report.accepted and langid is not None:
@@ -245,11 +245,9 @@ def _evaluate_job(left, right, segments_path, verdict_path, evaluator, langid):
         if disposition == DISP_ACCEPTED:
             segments = write_segments(report, segments_path)
         fields = report.to_dict()
-        fields = dict({key: fields[key] for key in _REPORT_FIELDS},
+        fields = dict({name: fields[name] for name in _REPORT_FIELDS},
                       disposition=disposition)
-        entry = {"fields": fields, "segments": segments}
-        write_atomic(verdict_path, json.dumps(
-            entry, sort_keys=True, ensure_ascii=False).encode("utf-8"))
+        cache.store_verdict(scope, key, {"fields": fields, "segments": segments})
         return fields
     except Exception as err:
         if segments is not None:  # only the entry write failed
@@ -258,60 +256,59 @@ def _evaluate_job(left, right, segments_path, verdict_path, evaluator, langid):
         return {"disposition": DISP_ERROR, "reject_reason": str(err)}
 
 
-# The language filter's models and tags in a worker process, set once per
-# process by the pool's initializer.
-_worker_langid = None
+# What every job of a run shares, (cache, scope, evaluator, langid), set
+# once per worker process by the pool's initializer.
+_worker_context = None
 
 
-def _init_worker(langid):
-    global _worker_langid
-    _worker_langid = langid
+def _init_worker(*context):
+    global _worker_context
+    _worker_context = context
 
 
-def _worker_job(left, right, segments_path, verdict_path, evaluator):
-    return _evaluate_job(left, right, segments_path, verdict_path, evaluator,
-                         _worker_langid)
+def _worker_job(job):
+    return _evaluate_job(job, *_worker_context)
 
 
-def _evaluate_all(lefts, rights, segment_paths, verdict_paths, evaluator, jobs,
-                  langid):
-    """The record fields of each pair, in input order.
+def _evaluate_all(jobs, context, workers):
+    """The record fields of each job's pair, in input order.
 
-    Linearize, align, the statistics and the language filter (when
-    ``langid`` holds its models and expected tags) are CPU-bound Python,
-    so more than one pair is spread over ``jobs`` worker processes.  Each
-    worker gets the models once, from the pool's initializer, never with
-    every job.  A worker that dies (killed for memory, say) breaks the
-    pool: the outcomes collected so far, in order, stand, and every later
-    pair is an error naming that.
+    Linearize, align, the statistics and the language filter are CPU-bound
+    Python, so more than one job is spread over up to ``workers`` worker
+    processes.  Each worker gets ``context``, the rest of ``_evaluate_job``'s
+    arguments, once from the pool's initializer.  A worker that dies
+    (killed for memory, say) breaks the pool: the outcomes collected so
+    far, in order, stand, and every later pair is an error naming that.
     """
-    evaluators = itertools.repeat(evaluator)
-    workers = min(jobs, len(lefts))
+    workers = min(workers, len(jobs))
     if workers <= 1:
-        return list(map(_evaluate_job, lefts, rights, segment_paths,
-                        verdict_paths, evaluators, itertools.repeat(langid)))
+        return [_evaluate_job(job, *context) for job in jobs]
     # Imported here: only a run that starts a pool needs multiprocessing.
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     outcomes = []
     try:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(langid,)) as pool:
-            outcomes.extend(pool.map(_worker_job, lefts, rights, segment_paths,
-                                     verdict_paths, evaluators))
+                                 initargs=context) as pool:
+            outcomes.extend(pool.map(_worker_job, jobs))
     except BrokenProcessPool as err:
         error = {"disposition": DISP_ERROR,
                  "reject_reason": "evaluation worker died: %s" % err}
-        outcomes += [error] * (len(lefts) - len(outcomes))
+        outcomes += [error] * (len(jobs) - len(outcomes))
     return outcomes
+
+
+def _sha256_json(doc):
+    """The SHA-256 hex digest of ``doc`` as canonical JSON."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @functools.cache
 def _code_fingerprint():
-    """This package's source and the runtime that runs it, for verdict keys.
+    """This package's source and the runtime that runs it, for verdict scopes.
 
     The SHA-256 over every ``*.py`` module of the package in name order,
-    with the Python and numpy versions: any code change gives new keys.
+    with the Python and numpy versions: any code change gives a new scope.
     Computed once per process, on first use, never at import.
     """
     import numpy  # loaded already: align and stats use it
@@ -324,32 +321,17 @@ def _code_fingerprint():
 
 
 def _verdict_scope(cfg):
-    """What decides every pair's verdict in this run, besides the pair."""
+    """The digest of what decides every pair's verdict in this run, besides
+    the pair: the code, the evaluator and the language filter."""
     langid = None
     if cfg.langid_filter:
         langid = {"models": [hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest()
                              for p in cfg.langid_model_paths],
                   "expected_langs": list(cfg.expected_langs)}
-    return {"code": _code_fingerprint(),
-            "evaluator": asdict(cfg.evaluator),
-            "evaluator_class": type(cfg.evaluator).__name__,
-            "langid": langid}
-
-
-def _verdict_key(scope, r1, r2):
-    """The cache key of one pair's verdict: SHA-256 of canonical JSON."""
-    doc = dict(scope, url1=r1.url, url2=r2.url, digest1=r1.digest,
-               digest2=r2.digest, charset1=r1.charset, charset2=r2.charset)
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
-
-
-def _read_verdict(path):
-    """The verdict entry at ``path``, or None: one that cannot be read misses."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
-        return None
+    return _sha256_json({"code": _code_fingerprint(),
+                         "evaluator": asdict(cfg.evaluator),
+                         "evaluator_class": type(cfg.evaluator).__name__,
+                         "langid": langid})
 
 
 def _reuse(entry, segments_path):
@@ -455,49 +437,50 @@ def triage(pair, results):
 def evaluate_records(records, results, cache, cfg):
     """Settle every record triage left open, each pair once.
 
-    A pair whose verdict entry is in ``cache`` takes its fields from it,
-    and an accepted one gets its segments file under ``cfg.out_dir`` from
-    the entry's text.  Every other pair is evaluated in its own job, which
-    reads the bodies from ``cache`` by digest, writes an accepted pair's
-    segments file and stores the verdict entry.  A segments file that
-    cannot be written makes its pair an error either way.  The language
-    models are loaded before any pair is evaluated, so a bad model file
-    raises first, and only when some pair has no entry.  Returns the
-    number of verdicts reused and evaluated.
+    First the run's verdict scope is marked in use in ``cache``, which
+    prunes long-idle ones.  A pair whose verdict is in that scope takes its
+    fields from the entry, and an accepted one gets its segments file
+    under ``cfg.out_dir`` from the entry's text.  Every other pair is
+    evaluated in its own job, which reads the bodies from ``cache`` by
+    digest, writes an accepted pair's segments file and stores the
+    verdict.  A segments file that cannot be written makes its pair an
+    error either way.  The language models are loaded before any pair is
+    evaluated, so a bad model file raises first, and only when some pair
+    has no entry.  Returns the number of verdicts reused and evaluated.
     """
     def side(url):
-        return url, cache.body_path(results[url].digest), results[url].charset
+        return url, results[url].digest, results[url].charset
 
-    def settle(idx, fields):
-        records[idx].update(fields)
+    def settle(record, name, fields):
+        record.update(fields)
         if fields["disposition"] == DISP_ACCEPTED:
-            records[idx]["segments_file"] = names[idx]
+            record["segments_file"] = name
 
     scope = _verdict_scope(cfg)
-    open_idx = [i for i, rec in enumerate(records) if rec["disposition"] is None]
-    names = {i: "segments/pair%04d.tsv" % i for i in open_idx}
-    verdict_paths = {i: cache.verdict_path(_verdict_key(
-        scope, results[records[i]["url1"]], results[records[i]["url2"]]))
-        for i in open_idx}
-    misses = []
-    for idx in open_idx:
-        entry = _read_verdict(verdict_paths[idx])
+    cache.use_scope(scope)
+    reused, misses = 0, []
+    for idx, record in enumerate(records):
+        if record["disposition"] is not None:
+            continue
+        name = "segments/pair%04d.tsv" % idx
+        path = os.path.join(cfg.out_dir, name)
+        left, right = side(record["url1"]), side(record["url2"])
+        key = _sha256_json([left, right])
+        entry = cache.verdict(scope, key)
         if entry is None:
-            misses.append(idx)
+            misses.append((record, name, (key, left, right, path)))
         else:
-            settle(idx, _reuse(entry, os.path.join(cfg.out_dir, names[idx])))
+            settle(record, name, _reuse(entry, path))
+            reused += 1
     langid = None
     if cfg.langid_filter and misses:
         langid = ([NgramModel.load(p) for p in cfg.langid_model_paths],
                   cfg.expected_langs)
-    outcomes = _evaluate_all([side(records[i]["url1"]) for i in misses],
-                             [side(records[i]["url2"]) for i in misses],
-                             [os.path.join(cfg.out_dir, names[i]) for i in misses],
-                             [verdict_paths[i] for i in misses], cfg.evaluator,
-                             cfg.jobs, langid)
-    for idx, fields in zip(misses, outcomes):
-        settle(idx, fields)
-    return {"reused": len(open_idx) - len(misses), "evaluated": len(misses)}
+    outcomes = _evaluate_all([job for _, _, job in misses],
+                             (cache, scope, cfg.evaluator, langid), cfg.jobs)
+    for (record, name, _), fields in zip(misses, outcomes):
+        settle(record, name, fields)
+    return {"reused": reused, "evaluated": len(misses)}
 
 
 def count_dispositions(records, listed, hub_errors):

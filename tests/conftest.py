@@ -1,10 +1,11 @@
+import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from webbitext import linearize
+from webbitext import GeneratorConfig, linearize
 
 
 def text_with_length(prefix, target):
@@ -120,6 +121,47 @@ def serve_shift_jis_hub(server):
     server.add_page("/hub.html", hub.encode("shift_jis"),
                     "text/html; charset=Shift_JIS")
     return server.base_url + "/hub.html"
+
+
+JA_PHRASE = "日本語のテキストです"
+
+
+def serve_english_japanese(server):
+    """Two English/Japanese pairs that an en/ja run accepts; returns the hubs.
+
+    Each Japanese page is Shift_JIS and names its charset in the header
+    only, and its first paragraph is ``JA_PHRASE`` once.
+    """
+    hubs = []
+    for i in (1, 2):
+        en = "<HTML><TITLE>Page %d</TITLE><BODY>" % i
+        ja = "<HTML><TITLE>ページ %d</TITLE><BODY>" % i
+        for k in range(1, 7):
+            en += "<P>%s</P>" % text_with_length("", 11 * k + i)
+            ja += "<P>%s</P>" % (JA_PHRASE * k)
+        server.add_page("/en%d.html" % i, en)
+        # The charset is in the header only; the page declares none.
+        server.add_page("/ja%d.html" % i, ja.encode("shift_jis"),
+                        "text/html; charset=Shift_JIS")
+        server.add_page("/hub%d.html" % i,
+                        '<A HREF="/en%d.html">English</A> '
+                        '<A HREF="/ja%d.html">Japanese</A>' % (i, i))
+        hubs.append(server.base_url + "/hub%d.html" % i)
+    return hubs
+
+
+EN_JA = GeneratorConfig(frozenset({"english"}), frozenset({"japanese"}))
+
+
+def tree_bytes(root):
+    """Every file under ``root``, as {path relative to root: bytes}."""
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Fetcher behavior against a local stub HTTP server and local files."""
 
+import dataclasses
 import errno
 import json
 import os
@@ -13,12 +14,15 @@ import time
 import pytest
 
 import webbitext
-from webbitext import FetchPolicy, Fetcher, PageCache, linearize
+from webbitext import (FetchPolicy, Fetcher, PageCache, PipelineConfig,
+                       linearize, run_pipeline)
 from webbitext.fetch import (STATUS_EMPTY, STATUS_MOVED, STATUS_NON_HTML,
                              STATUS_NOT_FOUND, STATUS_OK,
                              STATUS_ROBOTS_DENIED, STATUS_UNREACHABLE,
                              FetchResult, sniff_content_type, write_atomic)
 from webbitext.linearize import KIND_CHUNK
+
+from conftest import EN_JA, serve_english_japanese, tree_bytes
 
 HTML_BODY = "<HTML><BODY><P>hello from the stub</P></BODY></HTML>"
 
@@ -294,9 +298,65 @@ def test_caches_sharing_a_root_keep_each_others_entries(tmp_path):
     first, second = PageCache(root), PageCache(root)
     first.record(FetchResult("u1", STATUS_NOT_FOUND, final_url="u1"))
     second.record(FetchResult("u2", STATUS_NOT_FOUND, final_url="u2"))
+    first.store_verdict("scope", "k1", {"fields": {"n": 1}, "segments": None})
+    second.store_verdict("scope", "k2", {"fields": {"n": 2}, "segments": "té"})
     fresh = PageCache(root)
     assert fresh.lookup("u1").final_url == "u1"
     assert fresh.lookup("u2").final_url == "u2"
+    assert fresh.verdict("scope", "k1") == {"fields": {"n": 1}, "segments": None}
+    assert fresh.verdict("scope", "k2") == {"fields": {"n": 2}, "segments": "té"}
+
+
+def test_entries_load_in_either_json_form(tmp_path):
+    cache = PageCache(str(tmp_path / "cache"))
+    result = FetchResult("http://h/été", STATUS_UNREACHABLE, detail="délai")
+    cache.record(result)
+    path = cache._entry_path(result.url)
+    with open(path, "rb") as fh:
+        assert "délai".encode("utf-8") in fh.read()
+    with open(path, "w", encoding="ascii") as fh:  # \u escapes, as once written
+        json.dump(dataclasses.asdict(result), fh, sort_keys=True)
+    assert cache.lookup(result.url) == result
+
+
+def _outputs(out):
+    """Every file a run wrote to ``out`` but run_info.json, and its verdicts."""
+    files = tree_bytes(out)
+    return files, json.loads(files.pop("run_info.json"))["verdicts"]
+
+
+def test_unreadable_entries_are_misses_that_are_written_again(stub_server,
+                                                              tmp_path):
+    hubs = serve_english_japanese(stub_server)
+
+    def run(name, cache):
+        run_pipeline(PipelineConfig(
+            generator=EN_JA, fetch=FetchPolicy(min_interval=0.0, timeout=5.0),
+            out_dir=str(tmp_path / name), cache_dir=str(tmp_path / cache),
+            jobs=1), hubs)
+        return _outputs(tmp_path / name)
+
+    run("first", "cache")
+    cache = PageCache(str(tmp_path / "cache"))
+    base = stub_server.base_url
+    empty, torn = base + "/en1.html", base + "/ja2.html"
+    with open(cache._entry_path(empty), "wb"):  # as a lost write leaves it
+        pass
+    with open(cache._entry_path(torn), "r+b") as fh:
+        fh.truncate(len(fh.read()) // 2)
+    verdict = min(os.path.join(d, n) for d, _, names
+                  in os.walk(cache.verdicts_dir) for n in names)
+    with open(verdict, "wb") as fh:
+        fh.write(b"not json")
+    requested = len(stub_server.request_log)
+    rerun = run("rerun", "cache")
+    assert sorted(stub_server.paths_requested()[requested:]) == \
+        ["/en1.html", "/ja2.html", "/robots.txt"]
+    assert [cache.lookup(url).status for url in (empty, torn)] == [STATUS_OK] * 2
+    with open(verdict, encoding="utf-8") as fh:
+        assert json.load(fh)["fields"]["disposition"] == "accepted"
+    assert rerun[1] == {"reused": 1, "evaluated": 1}
+    assert rerun[0] == run("fresh", "fresh-cache")[0]
 
 
 _RECORD_FOREVER = r"""
@@ -335,13 +395,13 @@ def test_cache_killed_mid_record_still_loads(tmp_path):
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
     # Opening the cache removes this host's temp files of the dead recorder,
-    # in objects/, index/ and verdicts/ (which has no buckets), and keeps a
-    # live writer's and another host's.
+    # in objects/, index/ and a verdict scope directory, and keeps a live
+    # writer's and another host's.
     host = socket.gethostname()
     planted = {}
     for name, top, writer, pid in [("dead", "objects/ab", host, proc.pid),
                                    ("dead", "index/ab", host, proc.pid),
-                                   ("dead", "verdicts", host, proc.pid),
+                                   ("dead", "verdicts/ab", host, proc.pid),
                                    ("live", "index/ab", host, os.getpid()),
                                    ("other", "index/ab", "x" + host, proc.pid)]:
         os.makedirs(os.path.join(root, top), exist_ok=True)

@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, field
 
 import pytest
@@ -15,15 +16,16 @@ import pytest
 import webbitext
 from webbitext import (CandidatePair, EvaluatorConfig, FetchPolicy, Fetcher,
                        GeneratorConfig, PageCache, PipelineConfig, candidates,
-                       evaluate_pair, extract_candidates, linearize, load_gold,
-                       pipeline, run_pipeline, score, write_segments)
+                       evaluate_pair, extract_candidates, fetch, linearize,
+                       load_gold, pipeline, run_pipeline, score, write_segments)
 from webbitext.democorpus import build_corpus
 from webbitext.pipeline import (EVALUATED, ConservationError,
                                 check_conservation, generate_candidates,
                                 read_candidates_tsv, score_report_files,
                                 write_candidates_tsv)
 
-from conftest import serve_shift_jis_hub, text_with_length
+from conftest import (EN_JA, JA_PHRASE, serve_english_japanese,
+                      serve_shift_jis_hub, text_with_length, tree_bytes)
 
 
 def corpus_config(demo_corpus, out_dir, **kwargs):
@@ -240,7 +242,7 @@ def test_language_filter_in_worker_processes_writes_the_same_outputs(
     one, two = tmp_path / "jobs1", tmp_path / "jobs2"
     assert (one / "reports.jsonl").read_bytes() == \
         (two / "reports.jsonl").read_bytes()
-    assert _tree_bytes(one / "segments") == _tree_bytes(two / "segments")
+    assert tree_bytes(one / "segments") == tree_bytes(two / "segments")
     written = [json.loads((out / "manifest.json").read_text(encoding="utf-8"))
                for out in (one, two)]
     assert [m["config"].pop("jobs") for m in written] == [1, 2]
@@ -405,16 +407,6 @@ def test_pipeline_config_validation(tmp_path):
             expected_langs=("en", "es"))
 
 
-def _tree_bytes(root):
-    out = {}
-    for dirpath, _, files in os.walk(root):
-        for name in files:
-            path = os.path.join(dirpath, name)
-            with open(path, "rb") as fh:
-                out[os.path.relpath(path, root)] = fh.read()
-    return out
-
-
 def test_worker_processes_write_the_same_outputs_as_one_process(
         demo_corpus, tmp_path):
     hubs = read_hubs(demo_corpus)
@@ -426,9 +418,9 @@ def test_worker_processes_write_the_same_outputs_as_one_process(
     one, two = tmp_path / "jobs1", tmp_path / "jobs2"
     assert (one / "reports.jsonl").read_bytes() == \
         (two / "reports.jsonl").read_bytes()
-    segments = _tree_bytes(one / "segments")
+    segments = tree_bytes(one / "segments")
     assert len(segments) == 13
-    assert segments == _tree_bytes(two / "segments")
+    assert segments == tree_bytes(two / "segments")
     assert manifests[1]["config"].pop("jobs") == 1
     assert manifests[2]["config"].pop("jobs") == 2
     assert manifests[1] == manifests[2]
@@ -478,7 +470,7 @@ def test_segments_file_that_cannot_be_written_is_that_pairs_error(
     assert [r for r in manifest["pairs"] if r is not record] == \
         [r for r in baseline["pairs"] if r["pair_id"] != first["pair_id"]]
     assert (out / "manifest.json").exists()
-    assert len(_tree_bytes(out / "segments")) == baseline["counts"]["accepted"] - 1
+    assert len(tree_bytes(out / "segments")) == baseline["counts"]["accepted"] - 1
 
 
 # Runs the demo corpus at jobs=1 and SIGKILLs itself at the start of
@@ -532,7 +524,7 @@ def test_run_killed_during_evaluation_leaves_no_torn_file(default_run,
     evaluated, kill_at = _kill_point(baseline)
     out = tmp_path / "out"
     _killed_run(demo_corpus, out, kill_at)
-    left = _tree_bytes(out)
+    left = tree_bytes(out)
     assert not [name for name in left if ".tmp." in name]
     assert {"reports.jsonl", "manifest.json", "run_info.json"}.isdisjoint(left)
     finished = evaluated[:kill_at - 1]
@@ -541,7 +533,7 @@ def test_run_killed_during_evaluation_leaves_no_torn_file(default_run,
     assert sorted(segments) == sorted(
         os.path.normpath(r["segments_file"]) for r in finished
         if r["disposition"] == "accepted")
-    expected = _tree_bytes(complete)
+    expected = tree_bytes(complete)
     assert segments == {name: expected[name] for name in segments}
     assert left["candidates.tsv"] == expected["candidates.tsv"]
 
@@ -564,8 +556,8 @@ def test_rerun_after_a_kill_reuses_the_finished_pairs(default_run, demo_corpus,
 class _ExitInWorker(EvaluatorConfig):
     """Thresholds whose first read in any other process ends that process.
 
-    The pool pickles the config into every job, so this reaches the
-    workers whatever start method the pool uses.
+    The pool's initializer hands the config to every worker, so this
+    reaches the workers whatever start method the pool uses.
     """
 
     owner_pid: int = field(default_factory=os.getpid)
@@ -595,41 +587,11 @@ def test_worker_that_dies_leaves_error_dispositions(default_run, demo_corpus,
     assert len(manifest["pair_errors"]) == counts["errors"]
 
 
-_PHRASE = "日本語のテキストです"
-
-
-def _serve_english_japanese(server):
-    """Two English/Japanese pairs that an en/ja run accepts; returns the hubs.
-
-    Each Japanese page is Shift_JIS and names its charset in the header
-    only, and its first paragraph is ``_PHRASE`` once.
-    """
-    hubs = []
-    for i in (1, 2):
-        en = "<HTML><TITLE>Page %d</TITLE><BODY>" % i
-        ja = "<HTML><TITLE>ページ %d</TITLE><BODY>" % i
-        for k in range(1, 7):
-            en += "<P>%s</P>" % text_with_length("", 11 * k + i)
-            ja += "<P>%s</P>" % (_PHRASE * k)
-        server.add_page("/en%d.html" % i, en)
-        # The charset is in the header only; the page declares none.
-        server.add_page("/ja%d.html" % i, ja.encode("shift_jis"),
-                        "text/html; charset=Shift_JIS")
-        server.add_page("/hub%d.html" % i,
-                        '<A HREF="/en%d.html">English</A> '
-                        '<A HREF="/ja%d.html">Japanese</A>' % (i, i))
-        hubs.append(server.base_url + "/hub%d.html" % i)
-    return hubs
-
-
-_EN_JA = GeneratorConfig(frozenset({"english"}), frozenset({"japanese"}))
-
-
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_header_charset_reaches_the_decoder(stub_server, tmp_path, jobs):
-    hubs = _serve_english_japanese(stub_server)
+    hubs = serve_english_japanese(stub_server)
     cfg = PipelineConfig(
-        generator=_EN_JA, fetch=FetchPolicy(min_interval=0.0, timeout=5.0),
+        generator=EN_JA, fetch=FetchPolicy(min_interval=0.0, timeout=5.0),
         out_dir=str(tmp_path / "out"), jobs=jobs)
     manifest = run_pipeline(cfg, hubs)
     assert manifest["counts"]["accepted"] == 2
@@ -637,7 +599,7 @@ def test_header_charset_reaches_the_decoder(stub_server, tmp_path, jobs):
         with open(tmp_path / "out" / record["segments_file"],
                   encoding="utf-8") as fh:
             first_paragraph = fh.read().splitlines()[1].split("\t")
-        assert first_paragraph[5] == _PHRASE and len(_PHRASE) == 10
+        assert first_paragraph[5] == JA_PHRASE and len(JA_PHRASE) == 10
 
 
 def test_hub_header_charset_reaches_candidate_extraction(stub_server,
@@ -672,7 +634,7 @@ def _run_files(out, *skip):
     out run_info.json and the top-level entries named in ``skip``; the
     manifest is parsed, without config.jobs.
     """
-    files = {name: data for name, data in _tree_bytes(out).items()
+    files = {name: data for name, data in tree_bytes(out).items()
              if name.split(os.sep)[0] not in skip}
     verdicts = json.loads(files.pop("run_info.json"))["verdicts"]
     manifest = json.loads(files.pop("manifest.json"))
@@ -730,7 +692,7 @@ def test_a_changed_key_part_reevaluates_the_pairs_it_decides(
         hubs = read_hubs(corpus)
         changed = corpus["expected_accept_default"][0].split(" ")[0]
     else:
-        generator, hubs = _EN_JA, _serve_english_japanese(stub_server)
+        generator, hubs = EN_JA, serve_english_japanese(stub_server)
         changed = stub_server.base_url + "/ja1.html"
 
     def run(name, cache, settings):
@@ -797,3 +759,29 @@ def test_verdict_entry_that_cannot_be_written_is_that_pairs_error(
     assert "verdicts" in manifest["pair_errors"][0]["error"]
     assert not (out / "segments").exists() or not os.listdir(out / "segments")
     assert (out / "manifest.json").exists()
+
+
+def test_a_run_prunes_only_the_verdict_scopes_idle_past_the_limit(
+        demo_corpus, tmp_path):
+    verdicts = tmp_path / "cache" / "verdicts"
+
+    def run(k):
+        run_pipeline(corpus_config(demo_corpus, tmp_path / "out", jobs=1,
+                                   cache_dir=str(tmp_path / "cache"),
+                                   evaluator=EvaluatorConfig(k=k)),
+                     read_hubs(demo_corpus))
+        return _run_files(tmp_path / "out")[2]
+
+    scopes = {}
+    for k in (0.20, 0.25, 0.30):
+        before = set(os.listdir(verdicts)) if verdicts.exists() else set()
+        assert run(k) == {"reused": 0, "evaluated": 24}
+        scopes[k], = set(os.listdir(verdicts)) - before
+    now = time.time()
+    idle = now - fetch.VERDICT_IDLE_S - 60
+    os.utime(verdicts / scopes[0.25], (idle, idle))
+    within = now - fetch.VERDICT_IDLE_S + 3600
+    os.utime(verdicts / scopes[0.30], (within, within))
+    assert run(0.20) == {"reused": 24, "evaluated": 0}
+    assert sorted(os.listdir(verdicts)) == sorted([scopes[0.20], scopes[0.30]])
+    assert len(os.listdir(verdicts / scopes[0.30])) == 24

@@ -2,6 +2,8 @@
 
 import ast
 import os
+import subprocess
+import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "webbitext")
@@ -62,3 +64,14 @@ def test_only_write_atomic_renames_files():
                   and isinstance(node.value, ast.Name) and node.value.id == "os"
                   and node not in allowed]
     assert found == []
+
+
+def test_importing_the_package_loads_no_process_pool_module():
+    # Set-up imports the package, and the pools import these lazily, so a
+    # module-level import of them would cost every run, pool or not.
+    code = ("import sys, webbitext; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
