@@ -23,7 +23,7 @@ from .langid import NgramModel, classify, language_filter, train
 from .linearize import (LinearDocument, Token, decode_html, linearize,
                         render_token)
 from .pipeline import (PipelineConfig, ScoreSummary, load_gold, run_pipeline,
-                       score, score_report_files, write_segments)
+                       score, score_report_files, segments_text)
 from .stats import incomplete_beta, p_value, pearson_r, student_t_two_tailed
 
 __version__ = "0.1.0"
@@ -42,6 +42,6 @@ __all__ = [
     "incomplete_beta", "language_filter", "linearize", "load_gold",
     "mismatch_ratio", "p_value", "parse_anchors", "pearson_r",
     "read_hub_list", "render_token", "run_pipeline", "score",
-    "score_report_files", "student_t_two_tailed", "train",
-    "write_segments",
+    "score_report_files", "segments_text", "student_t_two_tailed",
+    "train",
 ]

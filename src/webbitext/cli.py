@@ -279,8 +279,9 @@ def build_parser():
     pt.set_defaults(func=cmd_langid_train)
     pc = lsub.add_parser("classify")
     pc.add_argument("--models", required=True, help="comma-separated model files")
-    pc.add_argument("--in", dest="infile", default=None)
-    pc.add_argument("--text", default=None)
+    source = pc.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile")
+    source.add_argument("--text")
     pc.set_defaults(func=cmd_langid_classify)
 
     p = sub.add_parser("run", help="run the whole pipeline over a hub list")

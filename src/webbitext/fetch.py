@@ -181,6 +181,15 @@ class PageCache:
     def body_path(self, digest):
         return os.path.join(self.objects_dir, digest[:2], digest)
 
+    def body(self, digest):
+        """The stored body of SHA-256 ``digest``.  Raises ValueError when
+        the object's bytes do not hash to it (a torn or truncated write)."""
+        with open(self.body_path(digest), "rb") as fh:
+            body = fh.read()
+        if hashlib.sha256(body).hexdigest() != digest:
+            raise ValueError("cached body %s does not match its digest" % digest)
+        return body
+
     def store_body(self, body):
         digest = hashlib.sha256(body).hexdigest()
         path = self.body_path(digest)
@@ -388,8 +397,7 @@ class Fetcher:
     def body(self, result):
         if not result.retrieved:
             raise ValueError("no body for status %r" % result.status)
-        with open(self.cache.body_path(result.digest), "rb") as fh:
-            return fh.read()
+        return self.cache.body(result.digest)
 
     def fetch_many(self, urls, jobs):
         """Fetch unique locators concurrently; politeness stays per-host."""

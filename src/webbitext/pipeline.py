@@ -7,8 +7,8 @@ write plain files under one output directory:
   candidates.tsv   url1 <TAB> url2 <TAB> source_hub <TAB> line_distance
   reports.jsonl    one JSON record per candidate pair, every disposition
   segments/        one TSV per accepted pair with aligned segment texts,
-                   written as the pair is evaluated (a failed write makes
-                   that pair an error)
+                   written by the run as each pair's outcome arrives (a
+                   failed write makes that pair an error)
   manifest.json    per-disposition counts and per-pair outcomes
   run_info.json    wall-clock timestamps and how many verdicts were reused
                    from the page cache or evaluated (kept out of the
@@ -35,7 +35,6 @@ single space.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import json
@@ -79,6 +78,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.jobs <= 0:
             self.jobs = os.cpu_count() or 1
+        if self.expected_langs is not None and len(self.expected_langs) != 2:
+            raise ValueError("expected languages must be two tags, the left "
+                             "and the right page's: %r" % (self.expected_langs,))
         if self.langid_filter:
             if not self.langid_model_paths or not self.expected_langs:
                 raise ValueError("language filter needs model paths and "
@@ -146,13 +148,10 @@ def _escape_field(text):
             .replace("\n", "\\n").replace("\r", "\\r"))
 
 
-def write_segments(report, path):
-    """Write one accepted pair's aligned segments as a TSV file.
-
-    Returns the text written.
-    """
+def segments_text(report):
+    """One accepted pair's aligned segments as TSV text."""
     if not report.accepted:
-        raise ValueError("segments are only written for accepted pairs")
+        raise ValueError("segments are only made for accepted pairs")
     lines = []
     for seg in report.segments:
         lines.append("\t".join([
@@ -163,9 +162,7 @@ def write_segments(report, path):
             _escape_field(seg.left_text),
             _escape_field(seg.right_text),
         ]))
-    text = "".join(line + "\n" for line in lines)
-    write_atomic(path, text.encode("utf-8"))
-    return text
+    return "".join(line + "\n" for line in lines)
 
 
 def candidates_tsv(pairs):
@@ -214,25 +211,26 @@ def read_hub(fetcher, locator):
 _REPORT_FIELDS = ("reject_reason", "mismatch_ratio", "r", "n", "p")
 
 
-def _evaluate_job(job, cache, scope, evaluator, langid):
-    """Finish one pair from its bodies in ``cache``: its record fields.
+def _error_entry(reason):
+    """The entry of a pair that could not be evaluated, which is never stored."""
+    return {"fields": {"disposition": DISP_ERROR, "reject_reason": reason},
+            "segments": None}
 
-    ``job`` is (key, left, right, segments path), a side being (locator,
-    body digest, header charset), so a job sent to a worker process
-    carries no page body.  ``langid`` is None, or (models, expected
-    language tags) to run the language filter over an accepted pair's
-    segment texts.  An accepted pair that passes it has its segments
-    written.  Then its verdict, the fields and the segments text, is
-    stored under ``scope`` and ``key``.  When anything raises, either
-    write included, the pair is an error with the exception's message as
-    its reason, and no entry or segments file of it is left.
+
+def _evaluate_job(job, cache, evaluator, langid):
+    """One pair's verdict entry, computed from its bodies in ``cache``.
+
+    ``job`` is (left, right), a side being (locator, body digest, header
+    charset), so a job sent to a worker process carries no page body.
+    ``langid`` is None, or (models, expected language tags) to run the
+    language filter over an accepted pair's segment texts.  The entry is
+    {"fields": the record fields, "segments": an accepted pair's segments
+    text, else None}.  The job writes nothing.  When anything raises, the
+    entry is an error with the exception's message as its reason.
     """
-    key, left, right, segments_path = job
-    segments = None
     try:
-        docs = [linearize(pathlib.Path(cache.body_path(digest)).read_bytes(),
-                          source_id=url, encoding=charset)
-                for url, digest, charset in (left, right)]
+        docs = [linearize(cache.body(digest), source_id=url, encoding=charset)
+                for url, digest, charset in job]
         report = evaluate_pair(docs[0], docs[1], evaluator)
         disposition = DISP_ACCEPTED if report.accepted else DISP_REJECTED
         if report.accepted and langid is not None:
@@ -242,22 +240,17 @@ def _evaluate_job(job, cache, scope, evaluator, langid):
                     " ".join(s.right_text for s in report.segments),
                     expected, models):
                 disposition = DISP_LANG_FILTERED
-        if disposition == DISP_ACCEPTED:
-            segments = write_segments(report, segments_path)
         fields = report.to_dict()
         fields = dict({name: fields[name] for name in _REPORT_FIELDS},
                       disposition=disposition)
-        cache.store_verdict(scope, key, {"fields": fields, "segments": segments})
-        return fields
+        segments = segments_text(report) if disposition == DISP_ACCEPTED else None
+        return {"fields": fields, "segments": segments}
     except Exception as err:
-        if segments is not None:  # only the entry write failed
-            with contextlib.suppress(OSError):
-                os.remove(segments_path)
-        return {"disposition": DISP_ERROR, "reject_reason": str(err)}
+        return _error_entry(str(err))
 
 
-# What every job of a run shares, (cache, scope, evaluator, langid), set
-# once per worker process by the pool's initializer.
+# What every job of a run shares, (cache, evaluator, langid), set once
+# per worker process by the pool's initializer.
 _worker_context = None
 
 
@@ -271,31 +264,32 @@ def _worker_job(job):
 
 
 def _evaluate_all(jobs, context, workers):
-    """The record fields of each job's pair, in input order.
+    """Yield each job's entry, in input order, as it arrives.
 
     Linearize, align, the statistics and the language filter are CPU-bound
     Python, so more than one job is spread over up to ``workers`` worker
     processes.  Each worker gets ``context``, the rest of ``_evaluate_job``'s
     arguments, once from the pool's initializer.  A worker that dies
-    (killed for memory, say) breaks the pool: the outcomes collected so
-    far, in order, stand, and every later pair is an error naming that.
+    (killed for memory, say) breaks the pool: the entries yielded so far
+    stand, and every later pair is an error naming that.
     """
     workers = min(workers, len(jobs))
     if workers <= 1:
-        return [_evaluate_job(job, *context) for job in jobs]
+        yield from (_evaluate_job(job, *context) for job in jobs)
+        return
     # Imported here: only a run that starts a pool needs multiprocessing.
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    outcomes = []
+    done = 0
     try:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=context) as pool:
-            outcomes.extend(pool.map(_worker_job, jobs))
+            for entry in pool.map(_worker_job, jobs):
+                done += 1
+                yield entry
     except BrokenProcessPool as err:
-        error = {"disposition": DISP_ERROR,
-                 "reject_reason": "evaluation worker died: %s" % err}
-        outcomes += [error] * (len(jobs) - len(outcomes))
-    return outcomes
+        error = _error_entry("evaluation worker died: %s" % err)
+        yield from [error] * (len(jobs) - done)
 
 
 def _sha256_json(doc):
@@ -332,21 +326,6 @@ def _verdict_scope(cfg):
                          "evaluator": asdict(cfg.evaluator),
                          "evaluator_class": type(cfg.evaluator).__name__,
                          "langid": langid})
-
-
-def _reuse(entry, segments_path):
-    """The record fields of a stored verdict, with its segments file written.
-
-    A segments file that cannot be written makes the pair an error, as it
-    does when the pair is evaluated.
-    """
-    fields = entry["fields"]
-    if fields["disposition"] == DISP_ACCEPTED:
-        try:
-            write_atomic(segments_path, entry["segments"].encode("utf-8"))
-        except OSError as err:
-            return {"disposition": DISP_ERROR, "reject_reason": str(err)}
-    return fields
 
 
 class ConservationError(RuntimeError):
@@ -438,23 +417,34 @@ def evaluate_records(records, results, cache, cfg):
     """Settle every record triage left open, each pair once.
 
     First the run's verdict scope is marked in use in ``cache``, which
-    prunes long-idle ones.  A pair whose verdict is in that scope takes its
-    fields from the entry, and an accepted one gets its segments file
-    under ``cfg.out_dir`` from the entry's text.  Every other pair is
-    evaluated in its own job, which reads the bodies from ``cache`` by
-    digest, writes an accepted pair's segments file and stores the
-    verdict.  A segments file that cannot be written makes its pair an
-    error either way.  The language models are loaded before any pair is
-    evaluated, so a bad model file raises first, and only when some pair
-    has no entry.  Returns the number of verdicts reused and evaluated.
+    prunes long-idle ones.  A pair whose verdict is in that scope takes
+    its entry from there; every other pair is evaluated in its own job,
+    which reads the bodies from ``cache`` by digest and returns the entry.
+    The language models are loaded before any pair is evaluated, so a bad
+    model file raises first, and only when some pair has no entry.  Each
+    outcome is settled as it arrives.  Returns the number of verdicts
+    reused and evaluated.
     """
     def side(url):
         return url, results[url].digest, results[url].charset
 
-    def settle(record, name, fields):
+    def settle(record, idx, key, entry):
+        """Fill ``record`` from ``entry``, a new verdict's under ``key`` or
+        a reused one's (``key`` None).  A new verdict is stored before the
+        segments file is written, so neither write is ever undone; an
+        OSError from either makes the pair an error."""
+        fields = entry["fields"]
+        try:
+            if key is not None and fields["disposition"] in EVALUATED:
+                cache.store_verdict(scope, key, entry)
+            if fields["disposition"] == DISP_ACCEPTED:
+                name = "segments/pair%04d.tsv" % idx
+                write_atomic(os.path.join(cfg.out_dir, name),
+                             entry["segments"].encode("utf-8"))
+                record["segments_file"] = name
+        except OSError as err:
+            fields = _error_entry(str(err))["fields"]
         record.update(fields)
-        if fields["disposition"] == DISP_ACCEPTED:
-            record["segments_file"] = name
 
     scope = _verdict_scope(cfg)
     cache.use_scope(scope)
@@ -462,24 +452,22 @@ def evaluate_records(records, results, cache, cfg):
     for idx, record in enumerate(records):
         if record["disposition"] is not None:
             continue
-        name = "segments/pair%04d.tsv" % idx
-        path = os.path.join(cfg.out_dir, name)
-        left, right = side(record["url1"]), side(record["url2"])
-        key = _sha256_json([left, right])
+        job = (side(record["url1"]), side(record["url2"]))
+        key = _sha256_json(job)
         entry = cache.verdict(scope, key)
         if entry is None:
-            misses.append((record, name, (key, left, right, path)))
+            misses.append((record, idx, key, job))
         else:
-            settle(record, name, _reuse(entry, path))
+            settle(record, idx, None, entry)
             reused += 1
     langid = None
     if cfg.langid_filter and misses:
         langid = ([NgramModel.load(p) for p in cfg.langid_model_paths],
                   cfg.expected_langs)
-    outcomes = _evaluate_all([job for _, _, job in misses],
-                             (cache, scope, cfg.evaluator, langid), cfg.jobs)
-    for (record, name, _), fields in zip(misses, outcomes):
-        settle(record, name, fields)
+    entries = _evaluate_all([job for *_, job in misses],
+                            (cache, cfg.evaluator, langid), cfg.jobs)
+    for (record, idx, key, _), entry in zip(misses, entries):
+        settle(record, idx, key, entry)
     return {"reused": reused, "evaluated": len(misses)}
 
 

@@ -230,6 +230,17 @@ def test_langid_classify_reads_its_text_from_a_file(capsys, tmp_path,
     assert json.loads(capsys.readouterr().out)["language"] == "es"
 
 
+@pytest.mark.parametrize("source", [[], ["--text", "la casa", "--in", "t.txt"]],
+                         ids=["neither", "both"])
+def test_langid_classify_takes_exactly_one_text_source(capsys, lang_models,
+                                                        source):
+    with pytest.raises(SystemExit) as exc:
+        main(["langid", "classify", "--models", ",".join(lang_models)] + source)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "--in" in err and "--text" in err
+
+
 def test_run_and_score_roundtrip(capsys, tmp_path, demo_corpus, lang_models):
     out_dir = tmp_path / "out"
     code = main(["run", "--lang1", "english", "--lang2", "spanish,español",

@@ -17,7 +17,7 @@ import webbitext
 from webbitext import (CandidatePair, EvaluatorConfig, FetchPolicy, Fetcher,
                        GeneratorConfig, PageCache, PipelineConfig, candidates,
                        evaluate_pair, extract_candidates, fetch, linearize,
-                       load_gold, pipeline, run_pipeline, score, write_segments)
+                       load_gold, pipeline, run_pipeline, score, segments_text)
 from webbitext.democorpus import build_corpus
 from webbitext.pipeline import (EVALUATED, ConservationError,
                                 check_conservation, generate_candidates,
@@ -130,11 +130,9 @@ def _accepted_report(left_title="Emergency Exit", right_title="Sortie de Secours
     return report
 
 
-def test_write_segments_first_record_is_the_title_pair(tmp_path):
+def test_write_segments_first_record_is_the_title_pair():
     report = _accepted_report()
-    path = tmp_path / "segments.tsv"
-    write_segments(report, str(path))
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = segments_text(report).splitlines()
     assert len(lines) == 10
     first = lines[0].split("\t")
     assert first[0] == "http://x/en.html"
@@ -144,19 +142,17 @@ def test_write_segments_first_record_is_the_title_pair(tmp_path):
     assert int(first[2]) == 13 and int(first[3]) == 13  # title offsets
 
 
-def test_write_segments_escapes_control_characters(tmp_path):
+def test_write_segments_escapes_control_characters():
     report = _accepted_report(left_title="has\ttab", right_title="has\nnewline")
-    path = tmp_path / "segments.tsv"
-    write_segments(report, str(path))
-    first = path.read_text(encoding="utf-8").splitlines()[0]
+    first = segments_text(report).splitlines()[0]
     assert "has\\ttab" in first and "has\\nnewline" in first
     assert first.count("\t") == 5  # exactly six fields
 
 
-def test_write_segments_refuses_rejected_reports(tmp_path):
+def test_write_segments_refuses_rejected_reports():
     report = evaluate_pair(linearize(""), linearize(""))
     with pytest.raises(ValueError):
-        write_segments(report, str(tmp_path / "nope.tsv"))
+        segments_text(report)
 
 
 def test_corpus_run_counts_and_conservation(default_run, demo_corpus):
@@ -394,7 +390,7 @@ def test_score_is_a_recount_of_the_raw_files(default_run, demo_corpus):
             summary.gold_positive_count) == (tp, accepted, positives)
 
 
-def test_pipeline_config_validation(tmp_path):
+def test_pipeline_config_validation(tmp_path, lang_models):
     with pytest.raises(ValueError):
         PipelineConfig(
             generator=GeneratorConfig(frozenset({"a"}), frozenset({"b"})),
@@ -405,6 +401,12 @@ def test_pipeline_config_validation(tmp_path):
             out_dir=str(tmp_path), langid_filter=True,
             langid_model_paths=(str(tmp_path / "missing.model"),),
             expected_langs=("en", "es"))
+    for tags in (("en",), ("en", "es", "fr")):  # one tag per page of a pair
+        with pytest.raises(ValueError, match="two tags"):
+            PipelineConfig(
+                generator=GeneratorConfig(frozenset({"a"}), frozenset({"b"})),
+                out_dir=str(tmp_path), langid_filter=True,
+                langid_model_paths=tuple(lang_models), expected_langs=tags)
 
 
 def test_worker_processes_write_the_same_outputs_as_one_process(
@@ -731,6 +733,27 @@ def test_a_changed_key_part_reevaluates_the_pairs_it_decides(
 def test_an_error_is_not_reused_and_the_rerun_evaluates_that_pair(
         default_run, demo_corpus, tmp_path):
     baseline, _ = default_run
+    url1 = demo_corpus["expected_accept_default"][0].split(" ")[0]
+    with open(url1, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    blocker = tmp_path / "cache" / "objects" / digest[:2] / digest
+    os.makedirs(blocker)  # a directory where the page's cached body belongs
+    cfg = corpus_config(demo_corpus, tmp_path / "out", jobs=1,
+                        cache_dir=str(tmp_path / "cache"))
+    manifest = run_pipeline(cfg, read_hubs(demo_corpus))
+    broken = [e["pair_id"] for e in manifest["pair_errors"]]
+    assert broken == [r["pair_id"] for r in manifest["pairs"]
+                      if url1 in (r["url1"], r["url2"])]
+    os.rmdir(blocker)
+    manifest = run_pipeline(cfg, read_hubs(demo_corpus))
+    assert manifest["pairs"] == baseline["pairs"]
+    assert _run_files(tmp_path / "out")[2] == \
+        {"reused": 24 - len(broken), "evaluated": len(broken)}
+
+
+def test_a_segments_file_that_cannot_be_written_keeps_its_verdict(
+        default_run, demo_corpus, tmp_path):
+    baseline, _ = default_run
     first = next(r for r in baseline["pairs"] if r["disposition"] == "accepted")
     out = tmp_path / "out"
     os.makedirs(out / first["segments_file"])  # a directory in the file's place
@@ -740,7 +763,33 @@ def test_an_error_is_not_reused_and_the_rerun_evaluates_that_pair(
     os.rmdir(out / first["segments_file"])
     manifest = run_pipeline(cfg, read_hubs(demo_corpus))
     assert manifest["pairs"] == baseline["pairs"]
-    assert _run_files(out)[2] == {"reused": 23, "evaluated": 1}
+    assert _run_files(out)[2] == {"reused": 24, "evaluated": 0}
+
+
+def test_a_torn_cached_body_is_an_error_and_stores_no_verdict(
+        default_run, demo_corpus, tmp_path):
+    baseline, _ = default_run
+    url1 = demo_corpus["expected_accept_default"][0].split(" ")[0]
+    with open(url1, "rb") as fh:
+        body = fh.read()
+    digest = hashlib.sha256(body).hexdigest()
+    # A lost write left a third of the page under its digest, and a fetch
+    # does not overwrite an object that exists.
+    torn = tmp_path / "cache" / "objects" / digest[:2] / digest
+    torn.parent.mkdir(parents=True)
+    torn.write_bytes(body[:len(body) // 3])
+    manifest = run_pipeline(corpus_config(demo_corpus, tmp_path / "out", jobs=1,
+                                          cache_dir=str(tmp_path / "cache")),
+                            read_hubs(demo_corpus))
+    broken = [r for r in manifest["pairs"] if url1 in (r["url1"], r["url2"])]
+    assert broken
+    assert {(r["disposition"], r["reject_reason"]) for r in broken} == \
+        {("error", "cached body %s does not match its digest" % digest)}
+    assert [r for r in manifest["pairs"] if r not in broken] == \
+        [r for r in baseline["pairs"] if url1 not in (r["url1"], r["url2"])]
+    scope, = os.listdir(tmp_path / "cache" / "verdicts")
+    assert len(os.listdir(tmp_path / "cache" / "verdicts" / scope)) == \
+        baseline["counts"]["evaluated"] - len(broken)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

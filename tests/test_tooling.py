@@ -66,6 +66,18 @@ def test_only_write_atomic_renames_files():
     assert found == []
 
 
+def test_evaluation_jobs_write_nothing():
+    # A job only computes its pair's entry; the run stores it and writes
+    # the segments file, so no job's write ever has to be undone.
+    tree = dict(_sources())["pipeline.py"]
+    job, = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+            and f.name == "_evaluate_job"]
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(job)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert names.isdisjoint({"write_atomic", "store_verdict"})
+
+
 def test_importing_the_package_loads_no_process_pool_module():
     # Set-up imports the package, and the pools import these lazily, so a
     # module-level import of them would cost every run, pool or not.
