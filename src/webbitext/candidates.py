@@ -22,6 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from . import htmlscan
+from .fetch import is_local
 from .linearize import decode_html
 
 
@@ -128,13 +129,19 @@ def extract_candidates(hub_source, hub_locator, cfg, encoding=None):
 
     Returns one CandidatePair per anchor pair, in hub order, with hrefs
     resolved against the hub locator; a pair of locators linked twice is
-    listed twice (``pipeline.generate_candidates`` keeps the first).
+    listed twice (``pipeline.generate_candidates`` keeps the first).  A
+    remote hub's anchor that does not resolve to an http or https locator
+    (``file:``, ``mailto:``, ``javascript:``) is skipped, so a web page
+    never points the crawler at local files.
     ``encoding`` is the charset from the hub's HTTP header, if any; see
     ``decode_html``.  Any text, even garbage, parses; a hub without
     language anchors yields an empty list.
     """
     text = decode_html(hub_source, encoding)
     anchors = [a for a in parse_anchors(text) if a.href]
+    if not is_local(hub_locator):
+        anchors = [a for a in anchors if resolve_locator(
+            hub_locator, a.href).lower().startswith(("http://", "https://"))]
     firsts = [a for a in anchors if anchor_matches(a, cfg.lang1_names)]
     seconds = [a for a in anchors if anchor_matches(a, cfg.lang2_names)]
     # Anchor lines never decrease in document order, so the seconds within

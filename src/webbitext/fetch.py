@@ -21,7 +21,6 @@ import hashlib
 import json
 import mimetypes
 import os
-import re
 import shutil
 import socket
 import threading
@@ -44,9 +43,9 @@ STATUS_NON_HTML = "non_html"
 _REDIRECT_CODES = {301, 302, 303, 307, 308}
 _MAX_REDIRECTS = 5
 _RETRIES = 1  # extra attempts after a request that raised
-# A verdict scope directory unused for this long is removed by the next
-# run that uses another scope of the same cache.
-VERDICT_IDLE_S = 30 * 24 * 3600
+# Whatever in a page cache nothing has touched for this long is garbage,
+# whoever wrote it: a verdict scope no run uses, or a dead writer's temp file.
+IDLE_S = 30 * 24 * 3600
 
 
 @dataclass
@@ -98,7 +97,7 @@ def write_atomic(path, data):
     The temp file ``<path>.tmp.<host>.<pid>.<thread>`` is never shared by
     concurrent writers, and readers see the old file or the new one.  A
     write or rename that raises removes it; a process killed in between
-    leaves it for the next ``PageCache`` opened on that host to remove.
+    leaves it, which ``PageCache.use_scope`` removes from a cache once idle.
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = "%s.tmp.%s.%d.%d" % (path, socket.gethostname(), os.getpid(),
@@ -131,8 +130,8 @@ class PageCache:
     ``verdicts/<scope>/<key>``, where the caller's ``scope`` names what a
     run's verdicts depend on besides the pair and ``key`` names the pair.
     An entry that is missing or cannot be read is a miss.  Atomic writes
-    keep concurrent runs' entries and leave a killed run's cache whole;
-    opening it removes what dead writers left behind.
+    keep concurrent runs' entries and leave a killed run's cache whole.
+    Opening it only sets paths; ``use_scope`` removes what is long idle.
     """
 
     def __init__(self, root):
@@ -140,26 +139,9 @@ class PageCache:
         self.objects_dir = os.path.join(self.root, "objects")
         self.index_path = os.path.join(self.root, "index")
         self.verdicts_dir = os.path.join(self.root, "verdicts")
+        self.swept_path = os.path.join(self.root, "swept")
         os.makedirs(self.objects_dir, exist_ok=True)
         os.makedirs(self.index_path, exist_ok=True)
-        if os.name == "posix":  # elsewhere os.kill(pid, 0) ends the process
-            self._remove_leftovers()
-
-    def _remove_leftovers(self):
-        """Delete the temp files of this host's writers that have died."""
-        ours = re.compile(r"\.tmp\.%s\.(\d+)\.\d+$" % re.escape(socket.gethostname()))
-        # Every file is <kind>/<bucket or scope>/<name>.
-        for name in glob.glob(os.path.join("*", "*", "*.tmp.*"), root_dir=self.root):
-            match = ours.search(name)
-            if not match:  # not a temp file of this host
-                continue
-            try:
-                os.kill(int(match.group(1)), 0)  # signal 0 only checks
-            except ProcessLookupError:  # the writer is dead
-                with contextlib.suppress(FileNotFoundError):  # a concurrent open won
-                    os.remove(os.path.join(self.root, name))
-            except PermissionError:  # alive, under another user
-                pass
 
     def _load(self, path, make):
         """``make(**entry)`` of the JSON entry at ``path``, or None when it
@@ -204,20 +186,23 @@ class PageCache:
         return self._load(self._entry_path(url), FetchResult)
 
     def verdict(self, scope, key):
-        return self._load(os.path.join(self.verdicts_dir, scope, key), dict)
+        """The ``{"fields", "segments"}`` entry under ``key``, or None."""
+        return self._load(os.path.join(self.verdicts_dir, scope, key),
+                          lambda fields, segments: dict(fields=fields, segments=segments))
 
     def store_verdict(self, scope, key, entry):
         self._store(os.path.join(self.verdicts_dir, scope, key), entry)
 
     def use_scope(self, scope):
-        """Refresh the directory of ``scope`` and remove every other one
-        idle longer than VERDICT_IDLE_S.  A pruned entry is only a miss,
-        so what cannot be refreshed or removed is left as it is."""
+        """Refresh the directory of ``scope``, then remove what is idle past
+        IDLE_S: other scopes, and when the ``swept`` stamp is missing or as
+        old, temp files (a live write renames its own within seconds).  A
+        removed entry is a miss; what cannot be removed is left as it is."""
+        cutoff = time.time() - IDLE_S
         scope_dir = os.path.join(self.verdicts_dir, scope)
         with contextlib.suppress(OSError):
             os.makedirs(scope_dir, exist_ok=True)
             os.utime(scope_dir)
-            cutoff = time.time() - VERDICT_IDLE_S
             for entry in os.scandir(self.verdicts_dir):
                 with contextlib.suppress(OSError):  # removed by another run
                     if entry.stat().st_mtime >= cutoff:
@@ -226,6 +211,19 @@ class PageCache:
                         shutil.rmtree(entry.path)
                     else:  # an entry of the earlier flat layout
                         os.remove(entry.path)
+        with contextlib.suppress(OSError):  # a missing stamp: never swept
+            if os.stat(self.swept_path).st_mtime >= cutoff:
+                return
+        with contextlib.suppress(OSError):
+            open(self.swept_path, "a").close()
+            os.utime(self.swept_path)
+            # Every file is <kind>/<bucket or scope>/<name>.
+            for name in glob.glob(os.path.join("*", "*", "*.tmp.*"),
+                                  root_dir=self.root):
+                path = os.path.join(self.root, name)
+                with contextlib.suppress(OSError):  # renamed or removed meanwhile
+                    if os.stat(path).st_mtime < cutoff:
+                        os.remove(path)
 
 
 class _NoRedirect(urllib.request.HTTPRedirectHandler):

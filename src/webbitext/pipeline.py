@@ -211,6 +211,18 @@ def read_hub(fetcher, locator):
 _REPORT_FIELDS = ("reject_reason", "mismatch_ratio", "r", "n", "p")
 
 
+def _reusable(entry):
+    """True when a stored verdict entry has the shape ``_evaluate_job``
+    gives it: a disposition in EVALUATED plus exactly _REPORT_FIELDS, and
+    segments text exactly when the pair is accepted."""
+    fields = entry["fields"]
+    return (isinstance(fields, dict)
+            and fields.keys() == {"disposition", *_REPORT_FIELDS}
+            and fields["disposition"] in EVALUATED
+            and isinstance(entry["segments"], str)
+            == (fields["disposition"] == DISP_ACCEPTED))
+
+
 def _error_entry(reason):
     """The entry of a pair that could not be evaluated, which is never stored."""
     return {"fields": {"disposition": DISP_ERROR, "reject_reason": reason},
@@ -417,9 +429,10 @@ def evaluate_records(records, results, cache, cfg):
     """Settle every record triage left open, each pair once.
 
     First the run's verdict scope is marked in use in ``cache``, which
-    prunes long-idle ones.  A pair whose verdict is in that scope takes
-    its entry from there; every other pair is evaluated in its own job,
-    which reads the bodies from ``cache`` by digest and returns the entry.
+    removes what is long idle there.  A pair whose verdict is in that
+    scope, in the shape a job gives it, takes its entry from there; every
+    other pair is evaluated in its own job, which reads the bodies from
+    ``cache`` by digest and returns the entry.
     The language models are loaded before any pair is evaluated, so a bad
     model file raises first, and only when some pair has no entry.  Each
     outcome is settled as it arrives.  Returns the number of verdicts
@@ -455,7 +468,7 @@ def evaluate_records(records, results, cache, cfg):
         job = (side(record["url1"]), side(record["url2"]))
         key = _sha256_json(job)
         entry = cache.verdict(scope, key)
-        if entry is None:
+        if entry is None or not _reusable(entry):
             misses.append((record, idx, key, job))
         else:
             settle(record, idx, None, entry)

@@ -8,6 +8,7 @@ critical values to four decimals, throughput under 50 ms per pair, and
 politeness gaps no smaller than the configured interval.
 """
 
+import pathlib
 import random
 import time
 
@@ -36,7 +37,8 @@ def _report(criterion, message):
 def corpus_runs(demo_corpus, lang_models, tmp_path_factory):
     """Default and language-filtered pipeline runs over the bundled corpus."""
     hubs = [line.strip()
-            for line in open(demo_corpus["hubs_file"], encoding="utf-8")
+            for line in pathlib.Path(demo_corpus["hubs_file"])
+            .read_text(encoding="utf-8").splitlines()
             if line.strip()]
     gen = GeneratorConfig(frozenset({"english"}),
                           frozenset({"spanish", "español"}))

@@ -132,6 +132,22 @@ def test_relative_href_resolution_with_dotdot():
     assert local[0].url1 == "/data/en/page.html"
 
 
+def test_a_remote_hub_links_only_to_web_pages():
+    html = ('<A HREF="en.html">English</A>\n'
+            '<A HREF="file:///etc/hostname">Spanish</A>\n'
+            '<A HREF="mailto:es@x">Spanish</A>\n'
+            '<A HREF="javascript:void(0)">Spanish</A>\n'
+            '<A HREF="HTTPS://o.example/es.html">Spanish</A>')
+    pairs = extract_candidates(html, "http://h.example/hub.html", cfg())
+    assert [(p.url1, p.url2) for p in pairs] == \
+        [("http://h.example/en.html", "HTTPS://o.example/es.html")]
+    # a local hub keeps today's rule: every href is a candidate
+    local = extract_candidates(html, "/data/hub.html", cfg())
+    assert [p.url2 for p in local] == ["file:///etc/hostname", "/data/mailto:es@x",
+                                       "/data/javascript:void(0)",
+                                       "HTTPS://o.example/es.html"]
+
+
 def test_unparseable_hub_is_empty_not_fatal():
     assert extract_candidates(b"\x00\xff\xfe garbage", "h", cfg()) == []
     assert extract_candidates("", "h", cfg()) == []

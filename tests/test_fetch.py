@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import glob
 import json
 import os
 import re
@@ -16,8 +17,8 @@ import pytest
 import webbitext
 from webbitext import (FetchPolicy, Fetcher, PageCache, PipelineConfig,
                        linearize, run_pipeline)
-from webbitext.fetch import (STATUS_EMPTY, STATUS_MOVED, STATUS_NON_HTML,
-                             STATUS_NOT_FOUND, STATUS_OK,
+from webbitext.fetch import (IDLE_S, STATUS_EMPTY, STATUS_MOVED,
+                             STATUS_NON_HTML, STATUS_NOT_FOUND, STATUS_OK,
                              STATUS_ROBOTS_DENIED, STATUS_UNREACHABLE,
                              FetchResult, sniff_content_type, write_atomic)
 from webbitext.linearize import KIND_CHUNK
@@ -394,31 +395,73 @@ def test_cache_killed_mid_record_still_loads(tmp_path):
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
-    # Opening the cache removes this host's temp files of the dead recorder,
-    # in objects/, index/ and a verdict scope directory, and keeps a live
-    # writer's and another host's.
+    # Temp files of the dead recorder, of this process and of another host,
+    # in objects/, index/ and a verdict scope directory: opening the cache
+    # removes none, and its next use_scope removes each one idle past
+    # IDLE_S, whoever wrote it, and keeps the young one.
     host = socket.gethostname()
-    planted = {}
-    for name, top, writer, pid in [("dead", "objects/ab", host, proc.pid),
-                                   ("dead", "index/ab", host, proc.pid),
-                                   ("dead", "verdicts/ab", host, proc.pid),
-                                   ("live", "index/ab", host, os.getpid()),
-                                   ("other", "index/ab", "x" + host, proc.pid)]:
+    planted = []
+    for top, writer, pid in [("objects/ab", host, proc.pid),
+                             ("index/ab", host, proc.pid),
+                             ("verdicts/ab", host, proc.pid),
+                             ("index/ab", host, os.getpid()),
+                             ("index/ab", "x" + host, proc.pid),
+                             ("verdicts/ab", host, os.getpid())]:
         os.makedirs(os.path.join(root, top), exist_ok=True)
-        path = os.path.join(root, top, "ab%s.tmp.%s.%d.1"
-                            % (name, writer, pid))
+        path = os.path.join(root, top, "ab%d.tmp.%s.%d.1"
+                            % (len(planted), writer, pid))
         open(path, "wb").close()
-        planted[path] = name
+        planted.append(path)
+    young = planted[-1]
+
+    def temp_files():
+        return sorted(os.path.join(d, n) for d, _, names in os.walk(root)
+                      for n in names if ".tmp." in n)
+
+    idle = time.time() - IDLE_S - 60
+    for path in temp_files():  # the recorder's own too, if it left one
+        if path != young:
+            os.utime(path, (idle, idle))
+    left = temp_files()
     cache = PageCache(root)
-    left = [os.path.join(d, n) for d, _, names in os.walk(root)
-            for n in names if ".tmp." in n]
-    assert sorted(planted.get(path, path) for path in left) == ["live", "other"]
+    assert temp_files() == left
+    cache.use_scope("ab")
+    assert temp_files() == [young]
     found = list(_entry_files(root))
     assert len(found) >= 200
     for path in found:
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
         assert cache.lookup(entry["url"]).detail == "x" * 20000
+
+
+def test_a_fresh_sweep_stamp_keeps_the_cache_from_being_listed(
+        tmp_path, monkeypatch):
+    root = str(tmp_path / "cache")
+    PageCache(root).use_scope("s")  # the first use sweeps and stamps
+    listed = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def listing(*args, **kwargs):
+            listed.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, listing)
+
+    for module, name in [(glob, "glob"), (os, "scandir"), (os, "listdir"),
+                         (os, "walk")]:
+        spy(module, name)
+    cache = PageCache(root)
+    assert listed == []  # opening lists no directory
+    cache.use_scope("s")
+    assert "glob" not in listed
+    stale = time.time() - IDLE_S - 60
+    os.utime(cache.swept_path, (stale, stale))
+    listed.clear()
+    cache.use_scope("s")
+    assert listed.count("glob") == 1
+    assert os.stat(cache.swept_path).st_mtime > stale
 
 
 def test_write_atomic_leaves_no_temp_file_when_it_fails(tmp_path):

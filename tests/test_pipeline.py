@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import pathlib
 import shutil
 import signal
 import subprocess
@@ -193,7 +194,7 @@ def test_output_files_exist_and_agree(default_run):
         if rec["disposition"] == "accepted":
             seg = os.path.join(out, rec["segments_file"])
             assert os.path.exists(seg)
-            assert len(open(seg, encoding="utf-8").read().splitlines()) == 10
+            assert len(pathlib.Path(seg).read_text(encoding="utf-8").splitlines()) == 10
 
 
 def test_scoring_the_run_against_gold(default_run, demo_corpus):
@@ -249,7 +250,7 @@ def test_language_filter_in_worker_processes_writes_the_same_outputs(
 def test_bad_language_model_raises_before_any_pair_is_evaluated(
         demo_corpus, lang_models, tmp_path, monkeypatch, jobs):
     bad = tmp_path / "v2.model"
-    doc = json.loads(open(lang_models[0], encoding="utf-8").read())
+    doc = json.loads(pathlib.Path(lang_models[0]).read_text(encoding="utf-8"))
     doc["version"] = 2
     bad.write_text(json.dumps(doc), encoding="utf-8")
     calls = []
@@ -277,11 +278,11 @@ def test_manifests_are_deterministic(demo_corpus, tmp_path):
     cfg2 = corpus_config(demo_corpus, tmp_path / "two", jobs=4)
     run_pipeline(cfg1, hubs)
     run_pipeline(cfg2, hubs)
-    m1 = open(tmp_path / "one" / "manifest.json", "rb").read()
-    m2 = open(tmp_path / "two" / "manifest.json", "rb").read()
+    m1 = (tmp_path / "one" / "manifest.json").read_bytes()
+    m2 = (tmp_path / "two" / "manifest.json").read_bytes()
     assert m1 == m2
-    r1 = open(tmp_path / "one" / "reports.jsonl", "rb").read()
-    r2 = open(tmp_path / "two" / "reports.jsonl", "rb").read()
+    r1 = (tmp_path / "one" / "reports.jsonl").read_bytes()
+    r2 = (tmp_path / "two" / "reports.jsonl").read_bytes()
     assert r1 == r2
 
 
@@ -792,6 +793,43 @@ def test_a_torn_cached_body_is_an_error_and_stores_no_verdict(
         baseline["counts"]["evaluated"] - len(broken)
 
 
+def _planted_entry(shape, entry):
+    """An accepted pair's stored ``entry`` replaced by one of another shape."""
+    fields = entry["fields"]
+    return {"empty": {},
+            "no_disposition": {"fields": {}, "segments": None},
+            "injected_field": dict(entry, fields=dict(fields, pair_id="INJECTED")),
+            "not_an_object": [entry],
+            "fields_not_an_object": dict(entry, fields=list(fields)),
+            "not_evaluated": dict(entry, fields=dict(fields, disposition="error"),
+                                  segments=None),
+            "accepted_without_segments": dict(entry, segments=None),
+            "rejected_with_segments": dict(
+                entry, fields=dict(fields, disposition="rejected"))}[shape]
+
+
+@pytest.mark.parametrize("shape", [
+    "empty", "no_disposition", "injected_field", "not_an_object",
+    "fields_not_an_object", "not_evaluated", "accepted_without_segments",
+    "rejected_with_segments"])
+def test_a_verdict_entry_of_another_shape_is_a_miss(demo_corpus, tmp_path, shape):
+    cfg = corpus_config(demo_corpus, tmp_path / "out", jobs=1,
+                        cache_dir=str(tmp_path / "cache"))
+    run_pipeline(cfg, read_hubs(demo_corpus))
+    first = _run_files(tmp_path / "out")
+    scope, = (tmp_path / "cache" / "verdicts").iterdir()
+    for path in sorted(scope.iterdir()):
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        if entry["fields"]["disposition"] == "accepted":
+            break
+    path.write_text(json.dumps(_planted_entry(shape, entry)), encoding="utf-8")
+    run_pipeline(cfg, read_hubs(demo_corpus))
+    files, manifest, verdicts = _run_files(tmp_path / "out")
+    assert verdicts == {"reused": 23, "evaluated": 1}
+    assert (files, manifest) == first[:2]
+    assert json.loads(path.read_text(encoding="utf-8")) == entry
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_verdict_entry_that_cannot_be_written_is_that_pairs_error(
         default_run, demo_corpus, tmp_path, jobs):
@@ -827,9 +865,9 @@ def test_a_run_prunes_only_the_verdict_scopes_idle_past_the_limit(
         assert run(k) == {"reused": 0, "evaluated": 24}
         scopes[k], = set(os.listdir(verdicts)) - before
     now = time.time()
-    idle = now - fetch.VERDICT_IDLE_S - 60
+    idle = now - fetch.IDLE_S - 60
     os.utime(verdicts / scopes[0.25], (idle, idle))
-    within = now - fetch.VERDICT_IDLE_S + 3600
+    within = now - fetch.IDLE_S + 3600
     os.utime(verdicts / scopes[0.30], (within, within))
     assert run(0.20) == {"reused": 24, "evaluated": 0}
     assert sorted(os.listdir(verdicts)) == sorted([scopes[0.20], scopes[0.30]])
