@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from . import htmlscan
-from .fetch import is_local
+from .fetch import is_local, is_web
 from .linearize import decode_html
 
 
@@ -140,8 +140,8 @@ def extract_candidates(hub_source, hub_locator, cfg, encoding=None):
     text = decode_html(hub_source, encoding)
     anchors = [a for a in parse_anchors(text) if a.href]
     if not is_local(hub_locator):
-        anchors = [a for a in anchors if resolve_locator(
-            hub_locator, a.href).lower().startswith(("http://", "https://"))]
+        anchors = [a for a in anchors
+                   if is_web(resolve_locator(hub_locator, a.href))]
     firsts = [a for a in anchors if anchor_matches(a, cfg.lang1_names)]
     seconds = [a for a in anchors if anchor_matches(a, cfg.lang2_names)]
     # Anchor lines never decrease in document order, so the seconds within

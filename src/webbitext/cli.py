@@ -261,7 +261,8 @@ def build_parser():
                    help="cache directory for hubs fetched over HTTP")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("fetch", help="retrieve candidate pages into the cache")
+    p = sub.add_parser("fetch",
+                       help="retrieve candidate pages, web pages into the cache")
     p.add_argument("--pairs", required=True, help="candidates TSV")
     p.add_argument("--out", default=None)
     p.add_argument("--cache", default=None,

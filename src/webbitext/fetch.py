@@ -1,16 +1,20 @@
 """Polite page retrieval into a content-addressed on-disk cache.
 
-Every retrieved body is stored once under its SHA-256 digest, which finds
-it again, and every HTTP fetch result as one small entry file per locator,
-so reruns cost zero network requests and identical pages are detected by
-digest equality.  Per-host courtesy: robots.txt is fetched and honored
-before any page request to a host, and consecutive requests to one host
-are separated by at least a configurable interval.  Failures never abort
-a run; they map onto a small status taxonomy (not found, moved, empty,
-unreachable, robots denied, non-HTML) that the pipeline records per pair.
+Every body retrieved over HTTP is stored once under its SHA-256 digest,
+which finds it again, and every HTTP fetch result as one small entry file
+per locator, so reruns cost zero network requests.  Every retrieved body
+has its digest, so identical pages are detected by digest equality.
+Per-host courtesy: robots.txt is fetched and honored before any page
+request to a host, and consecutive requests to one host are separated by
+at least a configurable interval.  Only http and https locators are
+requested, redirects included.  Failures never abort a run; they map onto
+a small status taxonomy (not found, moved, empty, unreachable, robots
+denied, non-HTML) that the pipeline records per pair.
 
 Locators without a scheme (or with file://) are read from the local
-filesystem through the same status taxonomy, so corpus runs need no network.
+filesystem through the same status taxonomy, so corpus runs need no
+network.  A local page is not copied into the cache: its body is read in
+place again, and checked against its digest, whenever it is needed.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ class FetchResult:
 
     @property
     def retrieved(self):
-        """True when a body was stored (direct hit or followed redirect)."""
+        """True when a body arrived (direct hit or followed redirect)."""
         return self.status in (STATUS_OK, STATUS_MOVED)
 
 
@@ -76,10 +80,19 @@ def is_local(url):
     return "://" not in url or url.startswith("file://")
 
 
+def is_web(url):
+    """True for an http or https locator, the only kinds ever requested."""
+    return url.lower().startswith(("http://", "https://"))
+
+
 def local_path(url):
     if url.startswith("file://"):
         return urllib.request.url2pathname(urllib.parse.urlsplit(url).path)
     return url
+
+
+def _sha256(body):
+    return hashlib.sha256(body).hexdigest()
 
 
 def sniff_content_type(body):
@@ -122,9 +135,11 @@ def _charset_param(params):
 
 
 class PageCache:
-    """Content-addressed body store plus one JSON entry file per locator.
+    """Content-addressed store of HTTP bodies plus one JSON entry file per
+    locator, and the one reader of every retrieved body.
 
-    A body of SHA-256 ``d`` is ``objects/<d[:2]>/<d>``, the entry of a
+    A body fetched over HTTP of SHA-256 ``d`` is ``objects/<d[:2]>/<d>``; a
+    local page has no object and is read in place.  The entry of a
     locator of SHA-256 ``h`` is ``index/<h[:2]>/<h>``, its ``FetchResult``
     as JSON, and the verdict of an evaluated pair is
     ``verdicts/<scope>/<key>``, where the caller's ``scope`` names what a
@@ -163,17 +178,23 @@ class PageCache:
     def body_path(self, digest):
         return os.path.join(self.objects_dir, digest[:2], digest)
 
-    def body(self, digest):
-        """The stored body of SHA-256 ``digest``.  Raises ValueError when
-        the object's bytes do not hash to it (a torn or truncated write)."""
-        with open(self.body_path(digest), "rb") as fh:
+    def body(self, locator, digest):
+        """The body of SHA-256 ``digest`` retrieved from ``locator``: a local
+        page read in place, else the stored object.  Raises ValueError when
+        the bytes do not hash to ``digest`` (a local page changed since it
+        was fetched, or a torn or truncated object write)."""
+        if is_local(locator):
+            path, what = local_path(locator), "local page %s" % locator
+        else:
+            path, what = self.body_path(digest), "cached body %s" % digest
+        with open(path, "rb") as fh:
             body = fh.read()
-        if hashlib.sha256(body).hexdigest() != digest:
-            raise ValueError("cached body %s does not match its digest" % digest)
+        if _sha256(body) != digest:
+            raise ValueError("%s does not match its digest" % what)
         return body
 
     def store_body(self, body):
-        digest = hashlib.sha256(body).hexdigest()
+        digest = _sha256(body)
         path = self.body_path(digest)
         if not os.path.exists(path):
             write_atomic(path, body)
@@ -338,7 +359,8 @@ class Fetcher:
             ctype = "text/html"
         else:
             ctype = mimetypes.guess_type(path)[0] or sniff_content_type(body)
-        return self._finish(url, url, ctype, body, now)
+        # The page stays where it is: only its digest is taken.
+        return self._finish(url, url, ctype, body, now, _sha256)
 
     def _follow(self, url, check_robots=True):
         """GET ``url``, following up to _MAX_REDIRECTS redirects.
@@ -346,9 +368,14 @@ class Fetcher:
         Returns ``(final_url, response, failure)``.  ``response`` is the
         last answer's ``(code, headers, body)``; when the chain stops
         without one it is None and ``failure`` is the ``(status, detail)``.
+        A locator that is not http or https, a redirect's target included,
+        stops the chain before anything is requested from it.
         """
         current = url
         for _ in range(_MAX_REDIRECTS + 1):
+            if not is_web(current):
+                return current, None, (STATUS_UNREACHABLE,
+                                       "not an http or https locator")
             if check_robots and not self._robots_allows(current):
                 return current, None, (STATUS_ROBOTS_DENIED, "")
             try:
@@ -379,9 +406,12 @@ class Fetcher:
         media_type, _, params = (raw_ctype or "").partition(";")
         ctype = media_type.strip().lower() if raw_ctype \
             else sniff_content_type(body)
-        return self._finish(url, current, ctype, body, now, _charset_param(params))
+        return self._finish(url, current, ctype, body, now,
+                            self.cache.store_body, _charset_param(params))
 
-    def _finish(self, url, final_url, ctype, body, now, charset=""):
+    def _finish(self, url, final_url, ctype, body, now, keep, charset=""):
+        """The result of a body that arrived; ``keep(body)`` returns the
+        digest of an HTML body, and stores it when it is to be stored."""
         if not body:
             return FetchResult(url, STATUS_EMPTY, final_url=final_url, fetched_at=now)
         if "html" not in ctype:
@@ -389,13 +419,12 @@ class Fetcher:
                                content_type=ctype, fetched_at=now, detail=ctype)
         status = STATUS_OK if final_url == url else STATUS_MOVED
         return FetchResult(url, status, final_url=final_url, content_type=ctype,
-                           charset=charset, digest=self.cache.store_body(body),
-                           fetched_at=now)
+                           charset=charset, digest=keep(body), fetched_at=now)
 
     def body(self, result):
         if not result.retrieved:
             raise ValueError("no body for status %r" % result.status)
-        return self.cache.body(result.digest)
+        return self.cache.body(result.url, result.digest)
 
     def fetch_many(self, urls, jobs):
         """Fetch unique locators concurrently; politeness stays per-host."""

@@ -22,7 +22,10 @@ the Python and numpy versions, the evaluator's thresholds, the language
 filter's model bytes and expected tags), and a pair's key hashes both
 locators, body digests and header charsets.  A later run with the same
 scope reuses the entry instead of evaluating the pair again, so a rerun
-over a filled cache evaluates nothing; an error is never kept.
+over a filled cache evaluates nothing; an error is never kept.  A pair
+that is evaluated reads its bodies by locator and digest: a local page in
+place, an HTTP page from the cache's objects, and a body that no longer
+matches its digest makes the pair an error.
 
 Dispositions conserve: generated = identical + unretrievable + non_html
 + evaluated + errors, and evaluated = accepted + rejected (+
@@ -211,16 +214,32 @@ def read_hub(fetcher, locator):
 _REPORT_FIELDS = ("reject_reason", "mismatch_ratio", "r", "n", "p")
 
 
+def _number_in(value, low, high):
+    """True for an int or float (a bool is neither) in [low, high]."""
+    return type(value) in (int, float) and low <= value <= high
+
+
 def _reusable(entry):
-    """True when a stored verdict entry has the shape ``_evaluate_job``
-    gives it: a disposition in EVALUATED plus exactly _REPORT_FIELDS, and
-    segments text exactly when the pair is accepted."""
+    """True when a stored verdict entry has the shape and value types
+    ``_evaluate_job`` gives it: a disposition in EVALUATED plus exactly
+    _REPORT_FIELDS, segments text exactly when the pair is accepted, a
+    mismatch ratio in [0, 1], r in [-1, 1], p in [0, 1] and n an int of at
+    least 0 (each of those three may be None), and a reject reason that is
+    None or a str."""
     fields = entry["fields"]
-    return (isinstance(fields, dict)
+    if not (isinstance(fields, dict)
             and fields.keys() == {"disposition", *_REPORT_FIELDS}
             and fields["disposition"] in EVALUATED
             and isinstance(entry["segments"], str)
-            == (fields["disposition"] == DISP_ACCEPTED))
+            == (fields["disposition"] == DISP_ACCEPTED)):
+        return False
+    r, n, p = fields["r"], fields["n"], fields["p"]
+    return (_number_in(fields["mismatch_ratio"], 0, 1)
+            and (r is None or _number_in(r, -1, 1))
+            and (p is None or _number_in(p, 0, 1))
+            and (n is None or type(n) is int and n >= 0)
+            and (fields["reject_reason"] is None
+                 or isinstance(fields["reject_reason"], str)))
 
 
 def _error_entry(reason):
@@ -230,10 +249,12 @@ def _error_entry(reason):
 
 
 def _evaluate_job(job, cache, evaluator, langid):
-    """One pair's verdict entry, computed from its bodies in ``cache``.
+    """One pair's verdict entry, computed from its bodies.
 
     ``job`` is (left, right), a side being (locator, body digest, header
-    charset), so a job sent to a worker process carries no page body.
+    charset), so a job sent to a worker process carries no page body: it
+    reads each through ``cache.body``, a local page in place and an HTTP
+    page from the cache, and a body that does not match its digest raises.
     ``langid`` is None, or (models, expected language tags) to run the
     language filter over an accepted pair's segment texts.  The entry is
     {"fields": the record fields, "segments": an accepted pair's segments
@@ -241,7 +262,7 @@ def _evaluate_job(job, cache, evaluator, langid):
     entry is an error with the exception's message as its reason.
     """
     try:
-        docs = [linearize(cache.body(digest), source_id=url, encoding=charset)
+        docs = [linearize(cache.body(url, digest), source_id=url, encoding=charset)
                 for url, digest, charset in job]
         report = evaluate_pair(docs[0], docs[1], evaluator)
         disposition = DISP_ACCEPTED if report.accepted else DISP_REJECTED
@@ -431,8 +452,8 @@ def evaluate_records(records, results, cache, cfg):
     First the run's verdict scope is marked in use in ``cache``, which
     removes what is long idle there.  A pair whose verdict is in that
     scope, in the shape a job gives it, takes its entry from there; every
-    other pair is evaluated in its own job, which reads the bodies from
-    ``cache`` by digest and returns the entry.
+    other pair is evaluated in its own job, which reads the bodies by
+    locator and digest through ``cache`` and returns the entry.
     The language models are loaded before any pair is evaluated, so a bad
     model file raises first, and only when some pair has no entry.  Each
     outcome is settled as it arrives.  Returns the number of verdicts

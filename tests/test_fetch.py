@@ -176,6 +176,24 @@ def test_redirect_without_location_is_unreachable(stub_server, tmp_path):
     assert result.detail == "redirect without location"
 
 
+@pytest.mark.parametrize("target", ["file", "data"])
+def test_a_redirect_off_the_web_is_unreachable_and_stores_nothing(
+        stub_server, tmp_path, target):
+    secret = tmp_path / "secret.html"
+    secret.write_text(HTML_BODY)
+    location = {"file": secret.as_uri(),
+                "data": "data:text/html," + HTML_BODY.replace(" ", "%20")}[target]
+    stub_server.add_redirect("/leak.html", location)
+    fetcher = make_fetcher(tmp_path)
+    result = fetcher.fetch(stub_server.base_url + "/leak.html")
+    assert (result.status, result.detail) == \
+        (STATUS_UNREACHABLE, "not an http or https locator")
+    assert (result.final_url, result.digest) == (location, None)
+    with pytest.raises(ValueError, match="no body for status 'unreachable'"):
+        fetcher.body(result)
+    assert tree_bytes(tmp_path / "cache" / "objects") == {}
+
+
 def test_body_of_a_result_without_one_raises(stub_server, tmp_path):
     fetcher = make_fetcher(tmp_path)
     result = fetcher.fetch(stub_server.base_url + "/gone.html")

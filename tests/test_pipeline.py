@@ -1,5 +1,6 @@
 """Pipeline orchestration: formats, scoring, accounting, determinism."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
+from unittest import mock
 
 import pytest
 
@@ -429,18 +431,45 @@ def test_worker_processes_write_the_same_outputs_as_one_process(
     assert manifests[1] == manifests[2]
 
 
+@contextlib.contextmanager
+def _page_changed_after_fetch(path, change):
+    """Within the block, each run calls ``change(page)`` on the local page
+    at ``path`` once its fetch stage has ended, so the change lands between
+    the page's fetch and its evaluation.  The page's bytes are put back
+    when the block ends."""
+    page = pathlib.Path(path)
+    original = page.read_bytes()
+    real = Fetcher.fetch_many
+
+    def fetch_many(self, urls, jobs):
+        results = real(self, urls, jobs)
+        change(page)
+        return results
+
+    try:
+        with mock.patch.object(Fetcher, "fetch_many", fetch_many):
+            yield
+    finally:
+        if page.is_dir():
+            page.rmdir()
+        page.write_bytes(original)
+
+
+def _into_a_directory(page):
+    page.unlink()
+    page.mkdir()
+
+
 def test_exception_in_a_worker_fails_only_that_pair(default_run, demo_corpus,
                                                     tmp_path):
     baseline, _ = default_run
     url1 = demo_corpus["expected_accept_default"][0].split(" ")[0]
-    with open(url1, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    # A directory where the page's cached body belongs: the fetch stores
-    # nothing over it, and the worker that opens it raises.
-    os.makedirs(tmp_path / "cache" / "objects" / digest[:2] / digest)
     cfg = corpus_config(demo_corpus, tmp_path / "out", jobs=2,
                         cache_dir=str(tmp_path / "cache"))
-    manifest = run_pipeline(cfg, read_hubs(demo_corpus))
+    # The page becomes a directory after its fetch, and the worker that
+    # reads it in place raises.
+    with _page_changed_after_fetch(url1, _into_a_directory):
+        manifest = run_pipeline(cfg, read_hubs(demo_corpus))
     broken = [r for r in manifest["pairs"] if url1 in (r["url1"], r["url2"])]
     assert broken and all(r["disposition"] == "error" for r in broken)
     assert [e["pair_id"] for e in manifest["pair_errors"]] == \
@@ -735,17 +764,14 @@ def test_an_error_is_not_reused_and_the_rerun_evaluates_that_pair(
         default_run, demo_corpus, tmp_path):
     baseline, _ = default_run
     url1 = demo_corpus["expected_accept_default"][0].split(" ")[0]
-    with open(url1, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    blocker = tmp_path / "cache" / "objects" / digest[:2] / digest
-    os.makedirs(blocker)  # a directory where the page's cached body belongs
     cfg = corpus_config(demo_corpus, tmp_path / "out", jobs=1,
                         cache_dir=str(tmp_path / "cache"))
-    manifest = run_pipeline(cfg, read_hubs(demo_corpus))
+    # The page is a directory from its fetch to the end of the run.
+    with _page_changed_after_fetch(url1, _into_a_directory):
+        manifest = run_pipeline(cfg, read_hubs(demo_corpus))
     broken = [e["pair_id"] for e in manifest["pair_errors"]]
     assert broken == [r["pair_id"] for r in manifest["pairs"]
                       if url1 in (r["url1"], r["url2"])]
-    os.rmdir(blocker)
     manifest = run_pipeline(cfg, read_hubs(demo_corpus))
     assert manifest["pairs"] == baseline["pairs"]
     assert _run_files(tmp_path / "out")[2] == \
@@ -767,25 +793,53 @@ def test_a_segments_file_that_cannot_be_written_keeps_its_verdict(
     assert _run_files(out)[2] == {"reused": 24, "evaluated": 0}
 
 
-def test_a_torn_cached_body_is_an_error_and_stores_no_verdict(
-        default_run, demo_corpus, tmp_path):
-    baseline, _ = default_run
-    url1 = demo_corpus["expected_accept_default"][0].split(" ")[0]
-    with open(url1, "rb") as fh:
-        body = fh.read()
+def test_a_torn_cached_body_is_an_error_and_stores_no_verdict(stub_server,
+                                                             tmp_path):
+    hubs = serve_english_japanese(stub_server)
+
+    def run(name):
+        return run_pipeline(PipelineConfig(
+            generator=EN_JA, fetch=FetchPolicy(min_interval=0.0, timeout=5.0),
+            out_dir=str(tmp_path / name),
+            cache_dir=str(tmp_path / (name + "-cache")), jobs=1), hubs)
+
+    baseline = run("baseline")
+    url1 = stub_server.base_url + "/ja1.html"
+    _, _, body = stub_server.routes["/ja1.html"]
     digest = hashlib.sha256(body).hexdigest()
     # A lost write left a third of the page under its digest, and a fetch
     # does not overwrite an object that exists.
-    torn = tmp_path / "cache" / "objects" / digest[:2] / digest
+    torn = tmp_path / "out-cache" / "objects" / digest[:2] / digest
     torn.parent.mkdir(parents=True)
     torn.write_bytes(body[:len(body) // 3])
-    manifest = run_pipeline(corpus_config(demo_corpus, tmp_path / "out", jobs=1,
-                                          cache_dir=str(tmp_path / "cache")),
-                            read_hubs(demo_corpus))
+    manifest = run("out")
     broken = [r for r in manifest["pairs"] if url1 in (r["url1"], r["url2"])]
     assert broken
     assert {(r["disposition"], r["reject_reason"]) for r in broken} == \
         {("error", "cached body %s does not match its digest" % digest)}
+    assert [r for r in manifest["pairs"] if r not in broken] == \
+        [r for r in baseline["pairs"] if url1 not in (r["url1"], r["url2"])]
+    scope, = os.listdir(tmp_path / "out-cache" / "verdicts")
+    assert len(os.listdir(tmp_path / "out-cache" / "verdicts" / scope)) == \
+        baseline["counts"]["evaluated"] - len(broken)
+
+
+def test_a_local_page_changed_after_its_fetch_is_an_error_and_stores_no_verdict(
+        default_run, demo_corpus, tmp_path):
+    baseline, _ = default_run
+    url1 = demo_corpus["expected_accept_default"][0].split(" ")[0]
+    cfg = corpus_config(demo_corpus, tmp_path / "out", jobs=2,
+                        cache_dir=str(tmp_path / "cache"))
+
+    def rewrite(page):
+        page.write_bytes(page.read_bytes() + b"\n<!-- edited -->\n")
+
+    with _page_changed_after_fetch(url1, rewrite):
+        manifest = run_pipeline(cfg, read_hubs(demo_corpus))
+    broken = [r for r in manifest["pairs"] if url1 in (r["url1"], r["url2"])]
+    assert broken
+    assert {(r["disposition"], r["reject_reason"]) for r in broken} == \
+        {("error", "local page %s does not match its digest" % url1)}
     assert [r for r in manifest["pairs"] if r not in broken] == \
         [r for r in baseline["pairs"] if url1 not in (r["url1"], r["url2"])]
     scope, = os.listdir(tmp_path / "cache" / "verdicts")
@@ -793,8 +847,25 @@ def test_a_torn_cached_body_is_an_error_and_stores_no_verdict(
         baseline["counts"]["evaluated"] - len(broken)
 
 
+def test_a_local_run_copies_no_page_into_the_cache(default_run, demo_corpus,
+                                                   tmp_path):
+    baseline, baseline_out = default_run
+    out = tmp_path / "out"
+    manifest = run_pipeline(corpus_config(demo_corpus, out, jobs=1,
+                                          cache_dir=str(tmp_path / "cache")),
+                            read_hubs(demo_corpus))
+    # Local pages are read in place, so neither a body nor an entry is kept.
+    assert tree_bytes(tmp_path / "cache" / "objects") == {}
+    assert tree_bytes(tmp_path / "cache" / "index") == {}
+    assert sorted(r["pair_id"] for r in manifest["pairs"]
+                  if r["disposition"] == "accepted") == \
+        sorted(demo_corpus["expected_accept_default"])
+    assert _run_files(out) == _run_files(pathlib.Path(baseline_out), "cache")
+
+
 def _planted_entry(shape, entry):
-    """An accepted pair's stored ``entry`` replaced by one of another shape."""
+    """An accepted pair's stored ``entry`` replaced by one of another shape,
+    or with a value of another type or out of its range."""
     fields = entry["fields"]
     return {"empty": {},
             "no_disposition": {"fields": {}, "segments": None},
@@ -805,13 +876,25 @@ def _planted_entry(shape, entry):
                                   segments=None),
             "accepted_without_segments": dict(entry, segments=None),
             "rejected_with_segments": dict(
-                entry, fields=dict(fields, disposition="rejected"))}[shape]
+                entry, fields=dict(fields, disposition="rejected")),
+            "injected_values": dict(entry, fields=dict(fields, n="INJECTED", p=-5)),
+            "ratio_above_one": dict(entry, fields=dict(fields, mismatch_ratio=1.5)),
+            "ratio_none": dict(entry, fields=dict(fields, mismatch_ratio=None)),
+            "r_below_minus_one": dict(entry, fields=dict(fields, r=-2.0)),
+            "r_a_bool": dict(entry, fields=dict(fields, r=True)),
+            "p_above_one": dict(entry, fields=dict(fields, p=1.5)),
+            "n_a_float": dict(entry, fields=dict(fields, n=float(fields["n"]))),
+            "n_negative": dict(entry, fields=dict(fields, n=-3)),
+            "reason_not_a_string": dict(
+                entry, fields=dict(fields, reject_reason=7))}[shape]
 
 
 @pytest.mark.parametrize("shape", [
     "empty", "no_disposition", "injected_field", "not_an_object",
     "fields_not_an_object", "not_evaluated", "accepted_without_segments",
-    "rejected_with_segments"])
+    "rejected_with_segments", "injected_values", "ratio_above_one",
+    "ratio_none", "r_below_minus_one", "r_a_bool", "p_above_one",
+    "n_a_float", "n_negative", "reason_not_a_string"])
 def test_a_verdict_entry_of_another_shape_is_a_miss(demo_corpus, tmp_path, shape):
     cfg = corpus_config(demo_corpus, tmp_path / "out", jobs=1,
                         cache_dir=str(tmp_path / "cache"))

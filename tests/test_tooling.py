@@ -78,6 +78,26 @@ def test_evaluation_jobs_write_nothing():
     assert names.isdisjoint({"write_atomic", "store_verdict"})
 
 
+def test_a_local_fetch_writes_nothing():
+    # A local page is read in place whenever its body is needed, so its
+    # fetch takes the digest and copies nothing into the cache: neither
+    # _fetch_local nor any Fetcher method it names names a writer.
+    tree = dict(_sources())["fetch.py"]
+    fetcher, = [c for c in tree.body if isinstance(c, ast.ClassDef)
+                and c.name == "Fetcher"]
+    methods = {f.name: f for f in fetcher.body if isinstance(f, ast.FunctionDef)}
+    names, todo = set(), ["_fetch_local"]
+    while todo:
+        method = methods[todo.pop()]
+        found = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(method)
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        todo += [n for n in found - names if n in methods]
+        names |= found
+    assert "_finish" in names
+    assert names.isdisjoint({"write_atomic", "store_body"})
+
+
 def test_importing_the_package_loads_no_process_pool_module():
     # Set-up imports the package, and the pools import these lazily, so a
     # module-level import of them would cost every run, pool or not.
