@@ -50,7 +50,7 @@ print("  precision %.1f%%  recall %.1f%%  (the one false positive is an"
 print("  English/English pair with perfectly parallel structure)")
 print()
 
-print("Run 2: same corpus with --langid-filter")
+print("Run 2: same corpus with --langid-models (the language filter on)")
 manifest2 = run_pipeline(
     PipelineConfig(generator=generator, out_dir=os.path.join(workdir, "out2"),
                    langid_filter=True, langid_model_paths=tuple(models),

@@ -15,7 +15,6 @@ flag-image links and names buried in file names like french.gif.
 from __future__ import annotations
 
 import html
-import itertools
 import os
 import urllib.parse
 from bisect import bisect_left, bisect_right
@@ -51,8 +50,8 @@ class GeneratorConfig:
         self.lang2_names = frozenset(s.casefold() for s in self.lang2_names)
         if not self.lang1_names or not self.lang2_names:
             raise ValueError("language name sets must be non-empty")
-        if self.max_line_distance < 0:
-            raise ValueError("max_line_distance must be >= 0")
+        if self.max_line_distance < 0 or self.max_hits < 0:
+            raise ValueError("max_line_distance and max_hits must be >= 0")
 
 
 @dataclass
@@ -160,14 +159,14 @@ def extract_candidates(hub_source, hub_locator, cfg, encoding=None):
     return out
 
 
-def read_hub_list(path, max_hits):
-    """The first ``max_hits`` hub locators of a prepared list.
+def read_hub_list(path):
+    """Every hub locator of a prepared list, in order.
 
     One locator per line; blank lines and ``#`` comments are skipped.  The
     list stands in for the anchor search (see ``build_query``), whose
-    engine no longer exists.
+    engine no longer exists; ``pipeline.generate_candidates`` reads the
+    first ``GeneratorConfig.max_hits`` of them, as the search's hit cap.
     """
     with open(path, encoding="utf-8") as fh:
         lines = (line.strip() for line in fh)
-        hubs = (line for line in lines if line and not line.startswith("#"))
-        return list(itertools.islice(hubs, max_hits))
+        return [line for line in lines if line and not line.startswith("#")]

@@ -6,14 +6,14 @@ Subcommands mirror the pipeline stages so each one is usable on its own:
 it reads.  Threshold flags default to the fields of ``EvaluatorConfig``,
 ``GeneratorConfig`` and ``FetchPolicy``: the frozen values the method was
 evaluated with (K=0.20, p<0.05, 10-line anchor distance, 3 pair minimum).
-The language filter is off unless ``--langid-filter`` is given.
+The language filter runs exactly when ``--langid-models`` is given, and
+then needs ``--expected-langs``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 
@@ -26,7 +26,7 @@ from .langid import NgramModel, classify, train
 from .linearize import linearize, render_token
 from .pipeline import (PipelineConfig, candidates_tsv, generate_candidates,
                        read_candidates_tsv, run_pipeline, score_report_files,
-                       write_candidates_tsv)
+                       worker_count, write_candidates_tsv)
 
 
 def _add_thresholds(parser):
@@ -48,7 +48,8 @@ def _add_hub_flags(parser):
                         help="file of hub locators, one per line")
     parser.add_argument("--max-hits", type=int,
                         default=GeneratorConfig.max_hits,
-                        help="hubs read from the list (default %(default)s)")
+                        help="hubs read from the top of the list "
+                             "(default %(default)s)")
     parser.add_argument("--max-line-distance", type=int,
                         default=GeneratorConfig.max_line_distance,
                         help="max anchor distance in hub source lines "
@@ -60,8 +61,9 @@ def _add_fetch_flags(parser):
                         default=FetchPolicy.min_interval,
                         help="per-host politeness interval, seconds "
                              "(default %(default)s)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="parallel workers (default: CPU count)")
+    parser.add_argument("--jobs", type=int, default=PipelineConfig.jobs,
+                        help="parallel workers; 0 or less is one per CPU "
+                             "(default %(default)s)")
 
 
 def _evaluator_config(args):
@@ -141,7 +143,7 @@ def cmd_evaluate(args):
 
 def cmd_generate(args):
     cfg = _generator_config(args)
-    hubs = read_hub_list(args.hubs, cfg.max_hits)
+    hubs = read_hub_list(args.hubs)
     with tempfile.TemporaryDirectory() as tmp:
         fetcher = Fetcher(PageCache(args.cache or tmp), FetchPolicy())
         pairs, _, hub_errors = generate_candidates(fetcher, hubs, cfg)
@@ -160,7 +162,7 @@ def cmd_fetch(args):
     fetcher = Fetcher(PageCache(cache_dir),
                       FetchPolicy(min_interval=args.min_interval))
     results = fetcher.fetch_many([u for p in pairs for u in (p.url1, p.url2)],
-                                 jobs=args.jobs)
+                                 jobs=worker_count(args.jobs))
     stream = _out_stream(args.out)
     for url, r in results.items():
         stream.write(json.dumps({
@@ -201,14 +203,13 @@ def cmd_run(args):
         fetch=FetchPolicy(min_interval=args.min_interval),
         out_dir=args.out,
         cache_dir=args.cache,
-        langid_filter=args.langid_filter,
+        langid_filter=args.langid_models is not None,
         langid_model_paths=tuple(args.langid_models.split(","))
         if args.langid_models else (),
         expected_langs=tuple(args.expected_langs.split(","))
         if args.expected_langs else None,
         jobs=args.jobs)
-    manifest = run_pipeline(cfg, read_hub_list(args.hubs,
-                                               cfg.generator.max_hits))
+    manifest = run_pipeline(cfg, read_hub_list(args.hubs))
     counts = manifest["counts"]
     for key in ("generated", "identical", "unretrievable", "non_html",
                 "evaluated", "accepted", "rejected", "language_filtered"):
@@ -292,10 +293,11 @@ def build_parser():
                    help="page cache directory (default OUT/cache)")
     _add_fetch_flags(p)
     _add_thresholds(p)
-    p.add_argument("--langid-filter", action="store_true",
-                   help="enable the language-identification filter")
-    p.add_argument("--langid-models", default=None)
-    p.add_argument("--expected-langs", default=None, help="e.g. en,es")
+    p.add_argument("--langid-models", default=None,
+                   help="comma-separated model files; turns the language "
+                        "filter on and needs --expected-langs")
+    p.add_argument("--expected-langs", default=None,
+                   help="the left and right pages' tags, e.g. en,es")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("score", help="precision/recall against gold labels")

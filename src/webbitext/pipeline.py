@@ -27,13 +27,14 @@ that is evaluated reads its bodies by locator and digest: a local page in
 place, an HTTP page from the cache's objects, and a body that no longer
 matches its digest makes the pair an error.
 
+A hub is fetched like any page, and one not retrieved is a hub error.
 Dispositions conserve: generated = identical + unretrievable + non_html
 + evaluated + errors, and evaluated = accepted + rejected (+
-language_filtered when the optional language filter is enabled; it is
-off by default).  A pair listed twice, by one hub or several, is
-generated once, from its first listing.  Gold labels are a two-column
-TSV of pair id and 0/1, where a pair id is the two locators joined by a
-single space.
+language_filtered when language models are given, which turns the
+optional language filter on).  A pair listed twice, by one hub or
+several, is generated once, from its first listing.  Gold labels are a
+two-column TSV of pair id and 0/1, where a pair id is the two locators
+joined by a single space.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ from dataclasses import asdict, dataclass, field
 
 from .candidates import CandidatePair, GeneratorConfig, extract_candidates
 from .evaluate import EvaluatorConfig, evaluate_pair
-from .fetch import (STATUS_NON_HTML, FetchPolicy, Fetcher, PageCache, is_local,
-                    local_path, write_atomic)
+from .fetch import STATUS_NON_HTML, FetchPolicy, Fetcher, PageCache, write_atomic
 from .langid import NgramModel, language_filter
 from .linearize import linearize
 
@@ -66,6 +66,11 @@ DISP_ERROR = "error"
 EVALUATED = (DISP_ACCEPTED, DISP_REJECTED, DISP_LANG_FILTERED)
 
 
+def worker_count(jobs):
+    """How many workers ``jobs`` asks for: itself, or one per CPU when <= 0."""
+    return jobs if jobs > 0 else os.cpu_count() or 1
+
+
 @dataclass
 class PipelineConfig:
     generator: GeneratorConfig
@@ -73,24 +78,26 @@ class PipelineConfig:
     fetch: FetchPolicy = field(default_factory=FetchPolicy)
     out_dir: str = "webbitext_out"
     cache_dir: str | None = None
-    langid_filter: bool = False
+    langid_filter: bool = False  # on exactly when model paths are given
     langid_model_paths: tuple = ()
     expected_langs: tuple | None = None
     jobs: int = 0
 
     def __post_init__(self):
-        if self.jobs <= 0:
-            self.jobs = os.cpu_count() or 1
+        self.jobs = worker_count(self.jobs)
         if self.expected_langs is not None and len(self.expected_langs) != 2:
             raise ValueError("expected languages must be two tags, the left "
                              "and the right page's: %r" % (self.expected_langs,))
-        if self.langid_filter:
-            if not self.langid_model_paths or not self.expected_langs:
-                raise ValueError("language filter needs model paths and "
-                                 "expected language tags")
-            for path in self.langid_model_paths:
-                if not os.path.exists(path):
-                    raise ValueError("missing language model: %s" % path)
+        if not self.langid_filter:
+            if self.langid_model_paths or self.expected_langs is not None:
+                raise ValueError("language models or expected language tags "
+                                 "are given, but the language filter is off")
+        elif not self.langid_model_paths or not self.expected_langs:
+            raise ValueError("language filter needs model paths and "
+                             "expected language tags")
+        for path in self.langid_model_paths:
+            if not os.path.exists(path):
+                raise ValueError("missing language model: %s" % path)
 
 
 @dataclass
@@ -134,15 +141,21 @@ def score(records, gold):
 
 
 def load_gold(path):
-    """Read a gold TSV (pair id, 0/1) into a dict."""
+    """A gold TSV (pair id <TAB> 0 or 1, ``#`` comments) as a dict of
+    booleans.  A line with no pair id, a judgment other than 0 or 1, or a
+    pair id seen before raises ValueError naming ``path:line``."""
     gold = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             pid, _, judgment = line.rpartition("\t")
-            gold[pid] = judgment.strip() == "1"
+            judgment = judgment.strip()
+            if not pid or judgment not in ("0", "1") or pid in gold:
+                raise ValueError("%s:%d: not a new pair id, a tab and 0 or 1: "
+                                 "%r" % (path, number, line))
+            gold[pid] = judgment == "1"
     return gold
 
 
@@ -197,16 +210,13 @@ def read_candidates_tsv(path):
 
 
 def read_hub(fetcher, locator):
-    """(body bytes, header charset) of one hub page.
-
-    A local hub has no header, so its charset is "".  Raises OSError when
-    the hub cannot be read or fetched.
-    """
-    if is_local(locator):
-        return pathlib.Path(local_path(locator)).read_bytes(), ""
+    """(body bytes, header charset) of one hub, fetched like any page: a
+    local hub is read in place, and its charset is "".  A hub that is not
+    retrieved raises OSError "hub <locator>: <status>[: <detail>]"."""
     result = fetcher.fetch(locator)
     if not result.retrieved:
-        raise IOError("hub %s: %s" % (locator, result.status))
+        detail = ": " + result.detail if result.detail else ""
+        raise OSError("hub %s: %s%s" % (locator, result.status, detail))
     return fetcher.body(result), result.charset
 
 
@@ -385,18 +395,18 @@ def check_conservation(counts):
 
 
 def generate_candidates(fetcher, hubs, generator):
-    """Candidate pairs from every hub, each (url1, url2) once.
+    """Candidate pairs from the first ``generator.max_hits`` hubs, each once.
 
     The first listing of a pair wins, so its source hub and line distance
     are those of the earliest hub that lists it.  Returns (pairs, number
     of listings before the dedup, hub errors); a hub that cannot be read
-    or parsed is a {"hub", "type", "error"} entry, not a failure, where
-    "type" names the exception's class.
+    (see ``read_hub``) or parsed is a {"hub", "type", "error"} entry, not
+    a failure, where "type" names the exception's class.
     """
     pairs = {}
     listed = 0
     hub_errors = []
-    for hub in hubs:
+    for hub in hubs[:generator.max_hits]:
         try:
             source, charset = read_hub(fetcher, hub)
             found = extract_candidates(source, hub, generator,
@@ -437,11 +447,7 @@ def triage(pair, results):
         "fetch_status_1": r1.status,
         "fetch_status_2": r2.status,
         "disposition": disposition,
-        "reject_reason": None,
-        "mismatch_ratio": None,
-        "r": None,
-        "n": None,
-        "p": None,
+        **dict.fromkeys(_REPORT_FIELDS),
         "segments_file": None,
     }
 

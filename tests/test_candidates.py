@@ -156,10 +156,20 @@ def test_unparseable_hub_is_empty_not_fatal():
 def test_local_file_backend(tmp_path):
     hub_list = tmp_path / "hubs.txt"
     hub_list.write_text("# comment\n/a.html\n\n/b.html\n/c.html\n")
-    assert read_hub_list(str(hub_list), 2) == ["/a.html", "/b.html"]
-    assert read_hub_list(str(hub_list), 200) == ["/a.html", "/b.html",
-                                                 "/c.html"]
-    assert read_hub_list(str(hub_list), 0) == []
+    hubs = read_hub_list(str(hub_list))
+    assert hubs == ["/a.html", "/b.html", "/c.html"]
+    # The hit cap is the candidate stage's: it reads the first max_hits.
+    fetcher = Fetcher(PageCache(str(tmp_path / "cache")))
+
+    def hubs_read(max_hits):
+        generator = GeneratorConfig(frozenset({"a"}), frozenset({"b"}),
+                                    max_hits=max_hits)
+        _, _, errors = generate_candidates(fetcher, hubs, generator)
+        return [error["hub"] for error in errors]  # none of them exists
+
+    assert hubs_read(2) == ["/a.html", "/b.html"]
+    assert hubs_read(200) == ["/a.html", "/b.html", "/c.html"]
+    assert hubs_read(0) == []
 
 
 def test_generator_config_validation():
@@ -167,6 +177,9 @@ def test_generator_config_validation():
         GeneratorConfig(frozenset(), frozenset({"x"}))
     with pytest.raises(ValueError):
         GeneratorConfig(frozenset({"a"}), frozenset({"b"}), max_line_distance=-1)
+    # A slice would read a negative cap as "all but the last N".
+    with pytest.raises(ValueError):
+        GeneratorConfig(frozenset({"a"}), frozenset({"b"}), max_hits=-1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from webbitext import (EvaluatorConfig, FetchPolicy, GeneratorConfig, align,
-                       candidates, linearize)
+from webbitext import (EvaluatorConfig, FetchPolicy, Fetcher, GeneratorConfig,
+                       PipelineConfig, align, candidates, linearize)
 from webbitext.cli import build_parser, main, render_alignment
 
 from conftest import serve_shift_jis_hub, text_with_length
@@ -168,7 +168,8 @@ _THRESHOLDS = {"k": _EVALUATOR.k, "p_threshold": _EVALUATOR.p_threshold,
                "min_pairs": _EVALUATOR.min_pairs}
 _HUB_FLAGS = {"max_hits": _GENERATOR.max_hits,
               "max_line_distance": _GENERATOR.max_line_distance}
-_FETCH_FLAGS = {"min_interval": FetchPolicy().min_interval}
+_FETCH_FLAGS = {"min_interval": FetchPolicy().min_interval,
+                "jobs": PipelineConfig.jobs}
 
 
 @pytest.mark.parametrize("argv, defaults", [
@@ -190,8 +191,10 @@ def test_flag_defaults_are_the_config_defaults(argv, defaults):
     ["evaluate", "a.html", "b.html", "--jobs", "2"],
     ["generate", "--lang1", "en", "--lang2", "es", "--hubs", "h", "--k", "0.3"],
     ["fetch", "--pairs", "p.tsv", "--max-line-distance", "3"],
+    ["run", "--lang1", "en", "--lang2", "es", "--hubs", "h", "--out", "o",
+     "--langid-filter"],
 ], ids=["evaluate-langid-filter", "evaluate-jobs", "generate-k",
-        "fetch-max-line-distance"])
+        "fetch-max-line-distance", "run-langid-filter"])
 def test_flag_a_subcommand_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -259,11 +262,57 @@ def test_run_and_score_roundtrip(capsys, tmp_path, demo_corpus, lang_models):
     filtered_dir = tmp_path / "out_filtered"
     code = main(["run", "--lang1", "english", "--lang2", "spanish,español",
                  "--hubs", demo_corpus["hubs_file"], "--out", str(filtered_dir),
-                 "--langid-filter",
                  "--langid-models", ",".join(lang_models),
                  "--expected-langs", "en,es"])
     assert code == 0
     assert "accepted: 12" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("langid", ["models", "tags"])
+def test_run_takes_language_models_and_tags_together_or_not_at_all(
+        capsys, tmp_path, demo_corpus, lang_models, langid):
+    flag = (["--langid-models", ",".join(lang_models)] if langid == "models"
+            else ["--expected-langs", "en,es"])
+    assert main(["run", "--lang1", "english", "--lang2", "spanish",
+                 "--hubs", demo_corpus["hubs_file"],
+                 "--out", str(tmp_path / "out"), *flag]) == 2
+    assert "error: language" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fetch_and_run_size_their_pools_alike_at_jobs_0(tmp_path, monkeypatch):
+    (tmp_path / "en.html").write_text("<HTML>one page</HTML>", encoding="utf-8")
+    (tmp_path / "es.html").write_text("<HTML>two pages</HTML>", encoding="utf-8")
+    hub = tmp_path / "hub.html"
+    hub.write_text('<A HREF="en.html">English</A>\n'
+                   '<A HREF="es.html">Spanish</A>\n', encoding="utf-8")
+    (tmp_path / "hubs.txt").write_text("%s\n" % hub, encoding="utf-8")
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    sizes = []
+
+    def spy(fetcher, urls, jobs):
+        sizes.append(jobs)
+        return fetch_many(fetcher, urls, jobs)
+
+    fetch_many = Fetcher.fetch_many
+    monkeypatch.setattr(Fetcher, "fetch_many", spy)
+    assert main(["run", "--lang1", "english", "--lang2", "spanish",
+                 "--hubs", str(tmp_path / "hubs.txt"),
+                 "--out", str(tmp_path / "out"), "--jobs", "0"]) == 0
+    assert main(["fetch", "--pairs", str(tmp_path / "out" / "candidates.tsv"),
+                 "--cache", str(tmp_path / "cache"), "--jobs", "0",
+                 "--out", str(tmp_path / "fetched.jsonl")]) == 0
+    assert sizes == [3, 3]
+
+
+def test_score_exits_2_on_a_malformed_gold_file(capsys, tmp_path):
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text(json.dumps({"pair_id": "a b", "disposition": "accepted"})
+                       + "\n", encoding="utf-8")
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("a b\tyes\n", encoding="utf-8")
+    assert main(["score", "--reports", str(reports), "--gold", str(gold)]) == 2
+    assert "%s:1: " % gold in capsys.readouterr().err
 
 
 def test_fetch_command_reports_statuses(capsys, tmp_path):

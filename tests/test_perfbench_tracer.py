@@ -32,7 +32,7 @@ cfg = PipelineConfig(
                               frozenset({"spanish", "español"})),
     out_dir=out_dir, jobs=1, langid_filter=True,
     langid_model_paths=tuple(models), expected_langs=("en", "es"))
-pipeline.run_pipeline(cfg, read_hub_list(hubs_file, cfg.generator.max_hits))
+pipeline.run_pipeline(cfg, read_hub_list(hubs_file))
 print(json.dumps(tracer.layer_metrics(spans.spans)))
 """
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import shutil
 import signal
 import subprocess
@@ -86,6 +87,20 @@ def test_gold_tsv_round_trip(tmp_path):
     path = tmp_path / "gold.tsv"
     path.write_text("# comment\nu1 u2\t1\nu3 u4\t0\n", encoding="utf-8")
     assert load_gold(str(path)) == {"u1 u2": True, "u3 u4": False}
+
+
+@pytest.mark.parametrize("text, line", [
+    ("u1 u2\t1\na b\tyes\n", 2),
+    ("# header\nnotab\n", 2),
+    ("u1 u2\t1\n\t0\n", 2),
+    ("u1 u2\t1\nu3 u4\t0\nu1 u2\t0\n", 3),
+], ids=["judgment", "no_tab", "no_pair_id", "repeated"])
+def test_a_malformed_gold_line_is_an_error_naming_it(tmp_path, text, line):
+    path = tmp_path / "gold.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match="^%s:%d: " % (re.escape(str(path)), line)):
+        load_gold(str(path))
 
 
 def test_candidates_tsv_round_trip(tmp_path):
@@ -311,6 +326,61 @@ def test_failed_http_hub_is_a_hub_error_naming_its_status(stub_server,
                            "error": "hub %s: not_found" % hub}]
 
 
+@pytest.mark.parametrize("name, content, outcome", [
+    ("missing.html", None, "not_found"),
+    ("empty.html", "", "empty"),
+    ("hub.txt", '<A HREF="en.html">English</A> <A HREF="es.html">Spanish</A>',
+     "non_html: text/plain"),
+], ids=["missing", "empty", "txt"])
+def test_a_local_hub_that_is_not_retrieved_is_a_hub_error_naming_its_status(
+        tmp_path, name, content, outcome):
+    hub = tmp_path / name
+    if content is not None:
+        hub.write_text(content, encoding="utf-8")
+    cfg = PipelineConfig(
+        generator=GeneratorConfig(frozenset({"english"}), frozenset({"spanish"})),
+        out_dir=str(tmp_path / "out"), jobs=1)
+    manifest = run_pipeline(cfg, [str(hub)])
+    assert manifest["hub_errors"] == [{"hub": str(hub), "type": "OSError",
+                                       "error": "hub %s: %s" % (hub, outcome)}]
+    assert manifest["counts"]["generated"] == 0
+
+
+def test_an_unreachable_web_hub_is_a_hub_error_that_says_why(stub_server,
+                                                             tmp_path):
+    stub_server.add_page("/down.html", b"<HTML>busy</HTML>", code=503)
+    hub = stub_server.base_url + "/down.html"
+    fetcher = Fetcher(PageCache(str(tmp_path / "cache")),
+                      FetchPolicy(min_interval=0.0, timeout=5.0))
+    _, _, hub_errors = generate_candidates(
+        fetcher, [hub], GeneratorConfig(frozenset({"english"}),
+                                        frozenset({"spanish"})))
+    assert hub_errors == [{"hub": hub, "type": "OSError",
+                           "error": "hub %s: unreachable: HTTP 503" % hub}]
+
+
+def test_a_library_run_reads_only_the_first_max_hits_hubs(
+        demo_corpus, tmp_path, monkeypatch):
+    hubs = read_hubs(demo_corpus)
+    read = []
+
+    def spy(fetcher, locator):
+        read.append(locator)
+        return read_hub(fetcher, locator)
+
+    read_hub = pipeline.read_hub
+    monkeypatch.setattr(pipeline, "read_hub", spy)
+    cfg = PipelineConfig(
+        generator=GeneratorConfig(frozenset({"english"}),
+                                  frozenset({"spanish", "español"}),
+                                  max_hits=2),
+        out_dir=str(tmp_path / "out"), jobs=1)
+    manifest = run_pipeline(cfg, hubs)
+    assert read == hubs[:2]
+    assert manifest["config"]["max_hits"] == 2
+    assert {r["source_hub"] for r in manifest["pairs"]} == set(hubs[:2])
+
+
 def test_hub_reader_defect_is_a_hub_error_and_other_hubs_keep_their_pairs(
         tmp_path, monkeypatch):
     hubs = []
@@ -410,6 +480,22 @@ def test_pipeline_config_validation(tmp_path, lang_models):
                 generator=GeneratorConfig(frozenset({"a"}), frozenset({"b"})),
                 out_dir=str(tmp_path), langid_filter=True,
                 langid_model_paths=tuple(lang_models), expected_langs=tags)
+
+
+@pytest.mark.parametrize("models, tags", [(True, False), (False, True),
+                                          (True, True)],
+                         ids=["models", "tags", "both"])
+def test_language_inputs_with_the_filter_off_are_refused(tmp_path, lang_models,
+                                                          models, tags):
+    langid = {}
+    if models:
+        langid["langid_model_paths"] = tuple(lang_models)
+    if tags:
+        langid["expected_langs"] = ("en", "es")
+    with pytest.raises(ValueError, match="language filter is off"):
+        PipelineConfig(
+            generator=GeneratorConfig(frozenset({"a"}), frozenset({"b"})),
+            out_dir=str(tmp_path), **langid)
 
 
 def test_worker_processes_write_the_same_outputs_as_one_process(

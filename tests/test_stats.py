@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import special, stats as sstats
 
 from webbitext import incomplete_beta, p_value, pearson_r, student_t_two_tailed
+from webbitext.stats import (_BETA_EPS, _BETA_FPMIN, _BETA_MAX_ITER,
+                             _beta_cont_frac)
 
 # Two-tailed critical values at p = .05 from standard t tables.
 T_TABLE_05 = {
@@ -72,6 +74,53 @@ def test_incomplete_beta_against_scipy():
     assert incomplete_beta(2.0, 3.0, 0.5) == pytest.approx(0.6875, abs=1e-12)
     assert incomplete_beta(5.0, 0.5, 0.0) == 0.0
     assert incomplete_beta(5.0, 0.5, 1.0) == 1.0
+
+
+def _oracle_beta_cont_frac(a, b, x):
+    """The continued fraction with its even and odd Lentz steps written out
+    one after the other, as the package had it before they shared a loop."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _BETA_FPMIN:
+        d = _BETA_FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, _BETA_MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _BETA_FPMIN:
+            d = _BETA_FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _BETA_FPMIN:
+            c = _BETA_FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _BETA_FPMIN:
+            d = _BETA_FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _BETA_FPMIN:
+            c = _BETA_FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _BETA_EPS:
+            return h
+    return h  # converged to float precision long before this in practice
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(0.01, 500.0), st.floats(0.01, 500.0), st.floats(0.0, 1.0))
+@example(0.5, 0.5, 0.5).via("the t test at df 1")
+@example(59.0, 0.5, 0.9).via("the t test at df 118")
+@example(1.0, 400.0, 1.0).via("slow convergence")
+def test_one_lentz_step_equals_the_two_written_out(a, b, x):
+    assert _beta_cont_frac(a, b, x) == _oracle_beta_cont_frac(a, b, x)
 
 
 def test_t_distribution_against_scipy():

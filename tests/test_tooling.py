@@ -98,6 +98,19 @@ def test_a_local_fetch_writes_nothing():
     assert names.isdisjoint({"write_atomic", "store_body"})
 
 
+def test_a_hub_is_read_only_through_the_fetcher():
+    # Local and web hubs take one path, the Fetcher's, so they fail alike:
+    # read_hub has no branch of its own for local files.
+    tree = dict(_sources())["pipeline.py"]
+    reader, = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+               and f.name == "read_hub"]
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(reader)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert {"fetch", "body"} <= names
+    assert names.isdisjoint({"is_local", "local_path"})
+
+
 def test_importing_the_package_loads_no_process_pool_module():
     # Set-up imports the package, and the pools import these lazily, so a
     # module-level import of them would cost every run, pool or not.
